@@ -71,7 +71,7 @@ struct Flags {
   int max_pending = 32;
   /// 0 = single server; N >= 1 = N-shard cluster behind the coordinator.
   int shards = 0;
-  /// DFS replication factor (1 = legacy single copy). Against the cluster
+  /// DFS replication factor (1 = one checksummed copy). Against the cluster
   /// this also starts per-shard replica endpoints and hands them to the
   /// coordinator.
   int replication = 1;

@@ -50,10 +50,10 @@ int64_t DecodeOrderedInt64(const char* src);
 void PutOrderedDouble(std::string* dst, double value);
 double DecodeOrderedDouble(const char* src);
 
-/// CRC-32 (the IEEE/zlib polynomial, reflected). Incremental: pass the
-/// previous return value as `seed` to extend a running checksum across
-/// appends; start from 0. Used for the per-replica chunk checksums in
-/// MiniDfs replication.
+/// CRC-32 (the IEEE/zlib polynomial, reflected; slicing-by-8). Chains:
+/// Crc32(Crc32(0, a), b) == Crc32(0, a + b), so pass the previous return
+/// value as `seed` to extend a running checksum; start from 0. Used for the
+/// MiniDfs chunk checksums and the columnar block CRCs.
 uint32_t Crc32(uint32_t seed, const void* data, size_t size);
 inline uint32_t Crc32(uint32_t seed, std::string_view data) {
   return Crc32(seed, data.data(), data.size());

@@ -30,8 +30,6 @@ namespace dgf {
 /// without evicting them (a newer reader still wants those), and evicts
 /// entries older than E on contact (the store is past them forever, so they
 /// can never be valid again). Writers never publish over a newer entry.
-/// Epoch-less Get/Put overloads treat everything as epoch 0 for callers that
-/// still rely on Clear().
 template <typename V>
 class ShardedLruCache {
  public:
@@ -68,9 +66,6 @@ class ShardedLruCache {
     return it->second->value;
   }
 
-  /// Epoch-less lookup (legacy callers): equivalent to Get(key, 0).
-  std::optional<V> Get(std::string_view key) { return Get(key, 0); }
-
   /// Inserts or overwrites `key` with a value decoded at `epoch`, evicting
   /// the least-recently-used entries of the shard beyond its capacity. A
   /// publish against an entry already tagged with a newer epoch is dropped:
@@ -95,9 +90,6 @@ class ShardedLruCache {
     }
   }
 
-  /// Epoch-less insert (legacy callers): equivalent to Put(key, 0, value).
-  void Put(std::string_view key, V value) { Put(key, 0, std::move(value)); }
-
   void Erase(std::string_view key) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -107,9 +99,8 @@ class ShardedLruCache {
     shard.map.erase(it);
   }
 
-  /// Drops every entry. With epoch tags this is only a memory-hygiene hook
-  /// (stale epochs age out on contact); epoch-less callers still use it as
-  /// their invalidation barrier.
+  /// Drops every entry: a memory-hygiene hook only, since stale epochs age
+  /// out on contact.
   void Clear() {
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);

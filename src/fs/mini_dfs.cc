@@ -21,6 +21,9 @@ namespace {
 // figure the paper cites from the Cloudera small-files article.
 constexpr uint64_t kMetadataObjectBytes = 150;
 
+// Upper bound on Options::replication (replica stores per file).
+constexpr int kMaxReplication = 16;
+
 std::string ErrnoMessage(const std::string& context) {
   return context + ": " + std::strerror(errno);
 }
@@ -39,9 +42,9 @@ bool WriteFully(int fd, std::string_view data) {
   return true;
 }
 
-// Reads exactly `length` bytes at `offset` of the local file `path` into
-// `*out`. Used by the writer (tail-chunk checksum resume) and recovery
-// paths, which trust the local disk and bypass fault injection.
+// Reads exactly `length` bytes at `offset` of the local file `local` into
+// `*out`. Used by the recovery and repair paths, which trust the local disk
+// and bypass fault injection.
 Status ReadLocalExactly(const std::string& local, uint64_t offset,
                         uint64_t length, std::string* out) {
   out->resize(length);
@@ -66,13 +69,40 @@ Status ReadLocalExactly(const std::string& local, uint64_t offset,
   return Status::OK();
 }
 
+// Extends running chunk checksums by `data`, which lands at file offset
+// `offset`: `chunks` holds one CRC per chunk, the last one still growing
+// while the file ends mid-chunk. Crc32 chains, so the partial tail's CRC is
+// extended in place.
+void ExtendChunkSums(uint64_t offset, std::string_view data,
+                     std::vector<uint32_t>* chunks) {
+  constexpr uint64_t kChunk = MiniDfs::kChecksumChunkBytes;
+  while (!data.empty()) {
+    const uint64_t used = offset % kChunk;
+    if (used == 0) chunks->push_back(0);
+    const size_t take =
+        static_cast<size_t>(std::min<uint64_t>(kChunk - used, data.size()));
+    chunks->back() = Crc32(chunks->back(), data.substr(0, take));
+    offset += take;
+    data.remove_prefix(take);
+  }
+}
+
+// Chunk checksums of the first `length` bytes of the local file `local`.
+Result<std::vector<uint32_t>> LocalChunkSums(const std::string& local,
+                                             uint64_t length) {
+  std::string contents;
+  DGF_RETURN_IF_ERROR(ReadLocalExactly(local, 0, length, &contents));
+  std::vector<uint32_t> chunks;
+  ExtendChunkSums(0, contents, &chunks);
+  return chunks;
+}
+
 }  // namespace
 
-/// Writer fanning every append out to all live replica stores. With
-/// replication == 1 this degenerates to the legacy single-fd writer (one
-/// target, no checksums). A store that dies mid-write is dropped from the
-/// fan-out and its copy marked invalid at Close; the write itself only
-/// fails when *no* replica target survives.
+/// Writer fanning every append out to all live replica stores and keeping
+/// the file's running chunk checksums. A store that dies mid-write is
+/// dropped from the fan-out and its copy marked invalid at Close; the write
+/// itself only fails when *no* replica target survives.
 class LocalDfsWriter : public DfsWriter {
  public:
   struct Target {
@@ -84,18 +114,15 @@ class LocalDfsWriter : public DfsWriter {
     uint64_t gen;
   };
 
+  /// `chunks` are the sealed checksums of the `offset` bytes already in the
+  /// file (empty for a new file).
   LocalDfsWriter(MiniDfs* dfs, std::string path, std::vector<Target> targets,
-                 uint64_t offset, bool checksummed,
-                 std::vector<uint32_t> full_chunks, uint32_t tail_crc,
-                 uint64_t tail_bytes)
+                 uint64_t offset, std::vector<uint32_t> chunks)
       : dfs_(dfs),
         path_(std::move(path)),
         targets_(std::move(targets)),
         offset_(offset),
-        checksummed_(checksummed),
-        full_chunks_(std::move(full_chunks)),
-        tail_crc_(tail_crc),
-        tail_bytes_(tail_bytes) {}
+        chunks_(std::move(chunks)) {}
 
   ~LocalDfsWriter() override {
     if (!closed_) Close();
@@ -120,7 +147,7 @@ class LocalDfsWriter : public DfsWriter {
     if (targets_.empty()) {
       return Status::IOError(ErrnoMessage("write " + path_));
     }
-    if (checksummed_) FeedChecksums(data);
+    ExtendChunkSums(offset_, data, &chunks_);
     offset_ += data.size();
     dfs_->bytes_written_.fetch_add(data.size(), std::memory_order_relaxed);
     return Status::OK();
@@ -144,15 +171,9 @@ class LocalDfsWriter : public DfsWriter {
       sealed_stores.push_back(target.store);
     }
     targets_.clear();
-    std::shared_ptr<const MiniDfs::FileChecksums> sums;
-    if (checksummed_) {
-      auto owned = std::make_shared<MiniDfs::FileChecksums>();
-      owned->chunk_bytes = dfs_->options_.checksum_chunk_bytes;
-      owned->covered_length = offset_;
-      owned->chunks = full_chunks_;
-      if (tail_bytes_ > 0) owned->chunks.push_back(tail_crc_);
-      sums = std::move(owned);
-    }
+    auto sums = std::make_shared<MiniDfs::FileChecksums>();
+    sums->covered_length = offset_;
+    sums->chunks = std::move(chunks_);
     {
       MiniDfs::Stripe& stripe = dfs_->StripeFor(path_);
       std::lock_guard<std::mutex> lock(stripe.mu);
@@ -180,42 +201,20 @@ class LocalDfsWriter : public DfsWriter {
     }
   }
 
-  void FeedChecksums(std::string_view data) {
-    const uint64_t chunk = dfs_->options_.checksum_chunk_bytes;
-    while (!data.empty()) {
-      const uint64_t room = chunk - tail_bytes_;
-      const size_t take = static_cast<size_t>(
-          std::min<uint64_t>(room, data.size()));
-      tail_crc_ = Crc32(tail_crc_, data.substr(0, take));
-      tail_bytes_ += take;
-      if (tail_bytes_ == chunk) {
-        full_chunks_.push_back(tail_crc_);
-        tail_crc_ = 0;
-        tail_bytes_ = 0;
-      }
-      data.remove_prefix(take);
-    }
-  }
-
   MiniDfs* dfs_;
   std::string path_;
   std::vector<Target> targets_;
   uint64_t offset_;
   bool closed_ = false;
-  // Running chunk checksums (replication > 1 only): CRCs of the sealed full
-  // chunks so far plus the partial tail chunk in flight.
-  bool checksummed_;
-  std::vector<uint32_t> full_chunks_;
-  uint32_t tail_crc_;
-  uint64_t tail_bytes_;
+  std::vector<uint32_t> chunks_;
 };
 
 /// Reader with replica failover. `candidates` is the replica preference
 /// order snapshot from open time; a replica is abandoned (and the next one
 /// tried) on a read error past the transient-retry budget, a replica file
-/// shorter than the sealed span, or a chunk-checksum mismatch. With
-/// replication == 1 (no checksums) the behaviour is the legacy single-copy
-/// read loop, including legal short reads at end of file.
+/// shorter than the sealed span, or a chunk-checksum mismatch. When every
+/// candidate fails (at replication 1, the only one), the last failure is
+/// returned.
 class LocalDfsReader : public DfsReader {
  public:
   LocalDfsReader(MiniDfs* dfs, std::string path, uint64_t length,
@@ -241,30 +240,30 @@ class LocalDfsReader : public DfsReader {
     out->clear();
     if (offset >= length_) return Status::OK();
     length = std::min(length, length_ - offset);
-    if (sums_ == nullptr) return LegacyPread(offset, length, out);
 
-    // Checksummed path: read the chunk-aligned span covering the request
-    // from one replica, verify every covered chunk, then slice out the
+    // Read the chunk-aligned span covering the request from one replica
+    // straight into `*out`, verify every covered chunk, then trim to the
     // requested range. covered_length always reaches length_ (both are
     // published together at seal), so the whole request is verifiable.
-    const uint64_t chunk = sums_->chunk_bytes;
-    const uint64_t lo = (offset / chunk) * chunk;
-    const uint64_t hi = std::min(
-        ((offset + length + chunk - 1) / chunk) * chunk, sums_->covered_length);
-    std::string buf;
+    constexpr uint64_t kChunk = MiniDfs::kChecksumChunkBytes;
+    const uint64_t lo = (offset / kChunk) * kChunk;
+    const uint64_t hi =
+        std::min(((offset + length + kChunk - 1) / kChunk) * kChunk,
+                 sums_->covered_length);
     Status last = Status::IOError("no valid replica: " + path_);
     const size_t start = preferred_.load(std::memory_order_relaxed);
     for (size_t i = 0; i < candidates_.size(); ++i) {
       const size_t index = (start + i) % candidates_.size();
-      Status attempt = TryReadReplica(index, lo, hi - lo, &buf);
+      Status attempt = TryReadReplica(index, lo, hi - lo, out);
       if (attempt.ok()) {
         preferred_.store(index, std::memory_order_relaxed);
-        out->assign(buf, static_cast<size_t>(offset - lo),
-                    static_cast<size_t>(length));
+        out->erase(0, static_cast<size_t>(offset - lo));
+        out->resize(static_cast<size_t>(length));
         dfs_->bytes_read_.fetch_add(length, std::memory_order_relaxed);
         dfs_->pread_calls_.fetch_add(1, std::memory_order_relaxed);
         return Status::OK();
       }
+      out->clear();
       last = attempt;
       if (i + 1 < candidates_.size()) {
         dfs_->read_failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -278,61 +277,18 @@ class LocalDfsReader : public DfsReader {
  private:
   static constexpr int kMaxTransientRetries = 2;
 
-  // The pre-replication read loop, byte-for-byte: transient faults retried
-  // against the same (only) copy, short reads absorbed, EOF legal.
-  Status LegacyPread(uint64_t offset, uint64_t length, std::string* out) {
-    out->resize(length);
-    const int store = candidates_.empty() ? 0 : candidates_[0];
-    const int fd = fds_.empty() ? -1 : fds_[0];
-    const std::shared_ptr<ReadFaultInjector> injector =
-        dfs_->CurrentInjector(store);
-    int transient_failures = 0;
-    size_t done = 0;
-    while (done < length) {
-      size_t attempt = length - done;
-      if (injector != nullptr) {
-        const ReadFault fault =
-            injector->NextFault(path_, offset + done, attempt);
-        switch (fault.kind) {
-          case ReadFault::Kind::kNone:
-            break;
-          case ReadFault::Kind::kTransientError:
-            if (++transient_failures > kMaxTransientRetries) {
-              return Status::IOError("injected transient read error: " +
-                                     path_);
-            }
-            continue;  // retry the same attempt
-          case ReadFault::Kind::kShortRead:
-            attempt = std::min<size_t>(attempt,
-                                       std::max<uint64_t>(1, fault.max_bytes));
-            break;
-        }
-      }
-      const ssize_t n = ::pread(fd, out->data() + done, attempt,
-                                static_cast<off_t>(offset + done));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError(ErrnoMessage("pread " + path_));
-      }
-      if (n == 0) break;  // end of file
-      done += static_cast<size_t>(n);
-    }
-    out->resize(done);
-    dfs_->bytes_read_.fetch_add(done, std::memory_order_relaxed);
-    dfs_->pread_calls_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-
-  // Reads [lo, lo+span) of the file from candidate `index` and verifies the
-  // chunk checksums. Any failure condemns this replica for the attempt.
+  // Reads [lo, lo+span) of the file from candidate `index` into `*buf` and
+  // verifies the chunk checksums. Transient faults are retried against the
+  // same copy and short reads absorbed; any other failure condemns this
+  // replica for the attempt.
   Status TryReadReplica(size_t index, uint64_t lo, uint64_t span,
                         std::string* buf) {
     const int store = candidates_[index];
     if (!dfs_->StoreUp(store)) {
       return Status::IOError("replica store down: " + path_);
     }
-    int fd = fds_[index];
-    if (fd < 0) {
+    int fd = -1;
+    {
       std::lock_guard<std::mutex> lock(fd_mu_);
       fd = fds_[index];
       if (fd < 0) {
@@ -379,16 +335,13 @@ class LocalDfsReader : public DfsReader {
       }
       done += static_cast<size_t>(n);
     }
-    const uint64_t chunk = sums_->chunk_bytes;
-    for (uint64_t pos = lo; pos < lo + span; pos += chunk) {
-      const size_t chunk_index = static_cast<size_t>(pos / chunk);
-      const uint64_t extent =
-          std::min(chunk, sums_->covered_length - pos);
+    constexpr uint64_t kChunk = MiniDfs::kChecksumChunkBytes;
+    for (uint64_t pos = lo; pos < lo + span; pos += kChunk) {
+      const uint64_t extent = std::min(kChunk, sums_->covered_length - pos);
       const uint32_t crc = Crc32(
           0, std::string_view(buf->data() + (pos - lo),
                               static_cast<size_t>(extent)));
-      if (chunk_index >= sums_->chunks.size() ||
-          crc != sums_->chunks[chunk_index]) {
+      if (crc != sums_->chunks[static_cast<size_t>(pos / kChunk)]) {
         dfs_->checksum_failures_.fetch_add(1, std::memory_order_relaxed);
         return Status::Corruption("replica checksum mismatch: " + path_);
       }
@@ -404,8 +357,8 @@ class LocalDfsReader : public DfsReader {
   /// Index into candidates_ of the replica that served the last successful
   /// read; failover moves it so a dead primary is not re-probed per call.
   std::atomic<size_t> preferred_;
-  std::mutex fd_mu_;  // guards lazy opens into fds_
-  std::vector<int> fds_;
+  std::mutex fd_mu_;
+  std::vector<int> fds_;  // guarded by fd_mu_; -1 until opened
 };
 
 MiniDfs::MiniDfs(Options options) : options_(std::move(options)) {
@@ -428,11 +381,9 @@ Result<std::shared_ptr<MiniDfs>> MiniDfs::Open(const Options& options) {
   if (options.block_size == 0) {
     return Status::InvalidArgument("MiniDfs block_size must be > 0");
   }
-  if (options.replication < 1 || options.replication > 16) {
-    return Status::InvalidArgument("MiniDfs replication must be in [1, 16]");
-  }
-  if (options.replication > 1 && options.checksum_chunk_bytes == 0) {
-    return Status::InvalidArgument("MiniDfs checksum_chunk_bytes must be > 0");
+  if (options.replication < 1 || options.replication > kMaxReplication) {
+    return Status::InvalidArgument("MiniDfs replication must be in [1, " +
+                                   std::to_string(kMaxReplication) + "]");
   }
   std::shared_ptr<MiniDfs> dfs(new MiniDfs(options));
   DGF_RETURN_IF_ERROR(dfs->Init());
@@ -454,20 +405,6 @@ std::shared_ptr<ReadFaultInjector> MiniDfs::CurrentInjector(int store) const {
 
 std::vector<uint8_t> MiniDfs::FreshReplicaOk() const {
   return std::vector<uint8_t>(options_.replication, 0);
-}
-
-Result<std::shared_ptr<const MiniDfs::FileChecksums>> MiniDfs::ComputeSums(
-    const std::string& local, uint64_t length) const {
-  auto sums = std::make_shared<FileChecksums>();
-  sums->chunk_bytes = options_.checksum_chunk_bytes;
-  sums->covered_length = length;
-  std::string buf;
-  for (uint64_t pos = 0; pos < length; pos += sums->chunk_bytes) {
-    const uint64_t extent = std::min(sums->chunk_bytes, length - pos);
-    DGF_RETURN_IF_ERROR(ReadLocalExactly(local, pos, extent, &buf));
-    sums->chunks.push_back(Crc32(0, buf));
-  }
-  return std::shared_ptr<const FileChecksums>(std::move(sums));
 }
 
 Status MiniDfs::Init() {
@@ -512,11 +449,14 @@ Status MiniDfs::Init() {
         if (source < 0) source = store;
       }
     }
-    if (k > 1 && meta.length > 0 && source >= 0) {
-      DGF_ASSIGN_OR_RETURN(
-          meta.sums,
-          ComputeSums(StoreLocalPath(source, dfs_path), meta.length));
-    }
+    // The sums are rebuilt from the first complete copy: they catch
+    // corruption from here on, not damage done while the DFS was closed.
+    auto sums = std::make_shared<FileChecksums>();
+    sums->covered_length = meta.length;
+    DGF_ASSIGN_OR_RETURN(
+        sums->chunks,
+        LocalChunkSums(StoreLocalPath(source, dfs_path), meta.length));
+    meta.sums = std::move(sums);
     StripeFor(dfs_path).files[dfs_path] = std::move(meta);
     TrackDirectories(dfs_path);
   }
@@ -524,7 +464,6 @@ Status MiniDfs::Init() {
 }
 
 std::string MiniDfs::StoreRoot(int store) const {
-  if (options_.replication == 1) return options_.root_dir;
   return options_.root_dir + "/r" + std::to_string(store);
 }
 
@@ -535,7 +474,6 @@ std::string MiniDfs::StoreLocalPath(int store,
 }
 
 std::vector<int> MiniDfs::ReplicaOrder(const std::string& path) const {
-  const int k = options_.replication;
   std::vector<uint8_t> ok;
   {
     Stripe& stripe = StripeFor(path);
@@ -543,15 +481,19 @@ std::vector<int> MiniDfs::ReplicaOrder(const std::string& path) const {
     auto it = stripe.files.find(path);
     if (it != stripe.files.end()) ok = it->second.replica_ok;
   }
+  return OrderedStores(path, ok);
+}
+
+std::vector<int> MiniDfs::OrderedStores(
+    const std::string& path, const std::vector<uint8_t>& replica_ok) const {
+  const int k = options_.replication;
   const size_t start = std::hash<std::string>{}(path) % k;
   std::vector<int> order;
   for (int i = 0; i < k; ++i) {
     const int store = static_cast<int>((start + i) % k);
-    // Unknown file (or pre-replication metadata): every store is a
-    // candidate; otherwise only stores holding a complete copy.
-    if (ok.empty() || (store < static_cast<int>(ok.size()) && ok[store])) {
-      order.push_back(store);
-    }
+    // Unknown file: every store is a candidate; otherwise only stores
+    // holding a complete copy.
+    if (replica_ok.empty() || replica_ok[store]) order.push_back(store);
   }
   return order;
 }
@@ -588,6 +530,7 @@ Result<std::unique_ptr<DfsWriter>> MiniDfs::Create(const std::string& path) {
     }
     FileMeta& meta = stripe.files[path];
     meta.length = 0;
+    meta.sums = std::make_shared<const FileChecksums>();
     meta.replica_ok = FreshReplicaOk();
   }
   TrackDirectories(path);
@@ -630,8 +573,7 @@ Result<std::unique_ptr<DfsWriter>> MiniDfs::Create(const std::string& path) {
     }
   }
   return std::unique_ptr<DfsWriter>(
-      new LocalDfsWriter(this, path, std::move(targets), 0,
-                         /*checksummed=*/options_.replication > 1, {}, 0, 0));
+      new LocalDfsWriter(this, path, std::move(targets), 0, {}));
 }
 
 Result<std::unique_ptr<DfsWriter>> MiniDfs::Append(const std::string& path) {
@@ -655,10 +597,7 @@ Result<std::unique_ptr<DfsWriter>> MiniDfs::Append(const std::string& path) {
   for (int store = 0; store < options_.replication; ++store) {
     // Only stores holding a complete copy can extend it; stale replicas
     // stay invalid until ReReplicate().
-    const bool ok = replica_ok.empty() ||
-                    (store < static_cast<int>(replica_ok.size()) &&
-                     replica_ok[store]);
-    if (!ok || !StoreUp(store)) continue;
+    if (!replica_ok[store] || !StoreUp(store)) continue;
     const std::string local = StoreLocalPath(store, path);
     const int fd = ::open(local.c_str(), O_WRONLY | O_APPEND);
     if (fd < 0) {
@@ -674,55 +613,16 @@ Result<std::unique_ptr<DfsWriter>> MiniDfs::Append(const std::string& path) {
     }
     return open_error;
   }
-  // Resume the running chunk checksums at `length`: full chunks carry over
-  // from the sealed sums; the partial tail chunk is re-checksummed from the
-  // first target's local copy.
-  const bool checksummed = options_.replication > 1;
-  std::vector<uint32_t> full_chunks;
-  uint32_t tail_crc = 0;
-  uint64_t tail_bytes = 0;
-  if (checksummed && length > 0) {
-    const uint64_t chunk = options_.checksum_chunk_bytes;
-    const uint64_t full = length / chunk;
-    if (sums != nullptr && sums->chunk_bytes == chunk &&
-        sums->covered_length == length &&
-        sums->chunks.size() >= full) {
-      full_chunks.assign(sums->chunks.begin(), sums->chunks.begin() + full);
-    } else {
-      // Metadata predates checksums (or chunk size changed): recompute the
-      // full chunks from the local copy we are about to extend.
-      const std::string local = StoreLocalPath(targets[0].store, path);
-      std::string buf;
-      for (uint64_t pos = 0; pos + chunk <= length; pos += chunk) {
-        Status read = ReadLocalExactly(local, pos, chunk, &buf);
-        if (!read.ok()) {
-          for (const auto& target : targets) ::close(target.fd);
-          return read;
-        }
-        full_chunks.push_back(Crc32(0, buf));
-      }
-    }
-    tail_bytes = length % chunk;
-    if (tail_bytes > 0) {
-      const std::string local = StoreLocalPath(targets[0].store, path);
-      std::string buf;
-      Status read = ReadLocalExactly(local, full * chunk, tail_bytes, &buf);
-      if (!read.ok()) {
-        for (const auto& target : targets) ::close(target.fd);
-        return read;
-      }
-      tail_crc = Crc32(0, buf);
-    }
-  }
   {
     Stripe& stripe = StripeFor(path);
     std::lock_guard<std::mutex> lock(stripe.mu);
     auto it = stripe.files.find(path);
     if (it != stripe.files.end()) ++it->second.open_writers;
   }
+  // The running checksums resume from the sealed ones; a partial tail
+  // chunk's CRC keeps extending in place.
   return std::unique_ptr<DfsWriter>(new LocalDfsWriter(
-      this, path, std::move(targets), length, checksummed,
-      std::move(full_chunks), tail_crc, tail_bytes));
+      this, path, std::move(targets), length, sums->chunks));
 }
 
 Result<std::unique_ptr<DfsReader>> MiniDfs::OpenForRead(
@@ -747,22 +647,12 @@ Result<std::unique_ptr<DfsReader>> MiniDfs::OpenForRead(
     sums = it->second.sums;
     replica_ok = it->second.replica_ok;
   }
-  const int k = options_.replication;
-  const size_t start = std::hash<std::string>{}(path) % k;
-  std::vector<int> candidates;
-  for (int i = 0; i < k; ++i) {
-    const int store = static_cast<int>((start + i) % k);
-    const bool ok = replica_ok.empty() ||
-                    (store < static_cast<int>(replica_ok.size()) &&
-                     replica_ok[store]);
-    if (ok) candidates.push_back(store);
-  }
+  std::vector<int> candidates = OrderedStores(path, replica_ok);
   if (candidates.empty()) {
     return Status::IOError("no valid replica: " + path);
   }
-  // Eagerly open the first openable candidate (the legacy contract: a
-  // successfully-opened reader has a live descriptor). Later failover opens
-  // are lazy.
+  // Eagerly open the first openable candidate, so a successfully-opened
+  // reader has a live descriptor. Later failover opens are lazy.
   Status open_error = Status::OK();
   for (size_t index = 0; index < candidates.size(); ++index) {
     const std::string local = StoreLocalPath(candidates[index], path);
@@ -997,7 +887,6 @@ Status MiniDfs::ReviveStore(int store) {
 }
 
 Result<uint64_t> MiniDfs::ReReplicate() {
-  if (options_.replication <= 1) return static_cast<uint64_t>(0);
   struct Job {
     std::string path;
     uint64_t length;
@@ -1077,22 +966,13 @@ Status MiniDfs::VerifyReplicas(const std::string& path) const {
     sums = it->second.sums;
     replica_ok = it->second.replica_ok;
   }
-  if (options_.replication == 1 || sums == nullptr) return Status::OK();
   for (int store = 0; store < options_.replication; ++store) {
-    const bool ok = store < static_cast<int>(replica_ok.size()) &&
-                    replica_ok[store];
-    if (!ok || !StoreUp(store)) continue;
-    const std::string local = StoreLocalPath(store, path);
-    std::string buf;
-    for (uint64_t pos = 0; pos < length; pos += sums->chunk_bytes) {
-      const uint64_t extent = std::min(sums->chunk_bytes, length - pos);
-      DGF_RETURN_IF_ERROR(ReadLocalExactly(local, pos, extent, &buf));
-      const size_t chunk_index = static_cast<size_t>(pos / sums->chunk_bytes);
-      if (chunk_index >= sums->chunks.size() ||
-          Crc32(0, buf) != sums->chunks[chunk_index]) {
-        return Status::Corruption("replica checksum mismatch: " + path +
-                                  " store r" + std::to_string(store));
-      }
+    if (!replica_ok[store] || !StoreUp(store)) continue;
+    DGF_ASSIGN_OR_RETURN(std::vector<uint32_t> chunks,
+                         LocalChunkSums(StoreLocalPath(store, path), length));
+    if (chunks != sums->chunks) {
+      return Status::Corruption("replica checksum mismatch: " + path +
+                                " store r" + std::to_string(store));
     }
   }
   return Status::OK();

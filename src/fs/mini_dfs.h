@@ -104,14 +104,18 @@ class ReadFaultInjector {
 ///   * byte counters for the write/read-throughput experiments (Figure 3),
 ///   * k-way replication (`Options::replication`): every file fans out to k
 ///     replica stores (`root_dir/r0` … `root_dir/r{k-1}`, each standing in
-///     for one DataNode's disk) on the write path, per-replica chunk
-///     checksums are sealed at Close, and reads fail over to the next
-///     replica on read error, short read, or checksum mismatch. Stores can
-///     be killed/revived (`KillStore`/`ReviveStore`) to model DataNode
-///     death, and `ReReplicate()` repairs under-replicated files from a
-///     surviving copy. With replication == 1 (the default) the on-disk
-///     layout and read/write behaviour are exactly the pre-replication
-///     single-copy ones.
+///     for one DataNode's disk) on the write path, and reads fail over to
+///     the next replica on read error, short read, or checksum mismatch.
+///     Stores can be killed/revived (`KillStore`/`ReviveStore`) to model
+///     DataNode death, and `ReReplicate()` repairs under-replicated files
+///     from a surviving copy. k = 1 (the default) is the same path with one
+///     store and nothing to fail over to,
+///   * per-chunk CRC32 checksums at every replication factor, like HDFS:
+///     one CRC per `kChecksumChunkBytes` bytes, sealed at writer Close and
+///     verified on every read, so a flipped byte on disk surfaces as
+///     `Corruption` instead of wrong data. The sums live in memory only and
+///     are recomputed from the first complete copy when the DFS is reopened:
+///     they guard a running process, not data at rest across restarts.
 ///
 /// Thread-safe: concurrent readers/writers of distinct files are
 /// unsynchronized fast paths (data bytes move through per-handle file
@@ -124,21 +128,21 @@ class ReadFaultInjector {
 /// all.
 class MiniDfs {
  public:
+  /// Checksum granularity: one CRC32 per 512 bytes (the last chunk of a file
+  /// may be partial), HDFS's default `dfs.bytes-per-checksum`. Small chunks
+  /// keep what a small read verifies beyond the bytes it asked for under
+  /// 1 KiB.
+  static constexpr uint64_t kChecksumChunkBytes = 512;
+
   struct Options {
     /// Directory on the local filesystem that backs the DFS namespace.
     std::string root_dir;
     /// HDFS block size; also the default split size. Paper uses 64 MB; tests
     /// and benches shrink it so multi-split behaviour shows at laptop scale.
     uint64_t block_size = 64ULL << 20;
-    /// Number of replica stores each file fans out to. 1 (the default)
-    /// keeps the legacy single-copy layout rooted directly at `root_dir`;
-    /// k >= 2 places one full copy in each of `root_dir/r0 .. r{k-1}` and
-    /// enables per-replica chunk checksums + read failover.
+    /// Number of replica stores each file fans out to: one full copy in each
+    /// of `root_dir/r0 .. r{k-1}`.
     int replication = 1;
-    /// Checksum granularity for replicated files: one CRC32 per
-    /// `checksum_chunk_bytes` bytes (last chunk may be partial). Ignored
-    /// when replication == 1.
-    uint64_t checksum_chunk_bytes = 64 * 1024;
   };
 
   /// Creates (or reopens) a DFS rooted at `options.root_dir`.
@@ -216,7 +220,7 @@ class MiniDfs {
   uint64_t TotalChecksumFailures() const { return checksum_failures_.load(); }
   void ResetCounters();
 
-  // ---- Replication control surface (no-ops / errors when replication==1).
+  // ---- Replication control surface.
 
   int replication() const { return options_.replication; }
   int num_stores() const { return options_.replication; }
@@ -271,10 +275,9 @@ class MiniDfs {
   /// Immutable per-file checksum snapshot, sealed at writer Close and shared
   /// with readers (readers verify against the snapshot taken at open, so a
   /// concurrent re-seal cannot rip the vector out from under them). One
-  /// CRC32 per chunk; the last chunk covers `covered_length % chunk_bytes`
-  /// bytes when that is non-zero.
+  /// CRC32 per chunk; the last chunk covers `covered_length %
+  /// kChecksumChunkBytes` bytes when that is non-zero.
   struct FileChecksums {
-    uint64_t chunk_bytes = 0;
     uint64_t covered_length = 0;
     std::vector<uint32_t> chunks;
   };
@@ -282,7 +285,7 @@ class MiniDfs {
   /// Authoritative metadata for one file.
   struct FileMeta {
     uint64_t length = 0;
-    /// Null when replication == 1 (no checksums, legacy behaviour).
+    /// Never null; covers exactly `length` bytes.
     std::shared_ptr<const FileChecksums> sums;
     /// replica_ok[store]: that store holds a complete, current copy.
     /// Sized `replication`.
@@ -313,9 +316,10 @@ class MiniDfs {
   /// no injector has ever been installed — the production fast path.
   std::shared_ptr<ReadFaultInjector> CurrentInjector(int store) const;
   std::vector<uint8_t> FreshReplicaOk() const;
-  /// Recomputes the chunk checksums of a local file (recovery path).
-  Result<std::shared_ptr<const FileChecksums>> ComputeSums(
-      const std::string& local, uint64_t length) const;
+  /// Stores holding a complete copy per `replica_ok` (every store when it
+  /// is empty), rotated so the first is `hash(path) % k`.
+  std::vector<int> OrderedStores(const std::string& path,
+                                 const std::vector<uint8_t>& replica_ok) const;
 
   friend class LocalDfsWriter;
   friend class LocalDfsReader;

@@ -20,7 +20,7 @@
 //               --shard=127.0.0.1:4642 --shard=127.0.0.1:4643
 //
 // Replication: `--replication=k` backs the shard's DFS with k replica
-// stores (chunk checksums + failover reads), and `--replica-port=P` serves
+// stores (failover reads), and `--replica-port=P` serves
 // the same shard on a second wire endpoint. Handing those endpoints to the
 // coordinator (`--replica=...`, one per shard, in --shard order) arms its
 // one-shot replica retry for read sub-queries:
@@ -80,7 +80,7 @@ struct Flags {
   int max_concurrent = 4;
   int max_pending = 16;
   /// DFS replication factor of the served world (k replica stores with
-  /// chunk checksums and failover reads; 1 = legacy single copy).
+  /// failover reads; every k checksums each 512 B chunk).
   int replication = 1;
   /// > 0: also serve the same QueryService on this second port (the shard's
   /// replica endpoint a coordinator can fail reads over to).

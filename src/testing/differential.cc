@@ -20,6 +20,7 @@
 #include "kv/mem_kv.h"
 #include "query/executor.h"
 #include "table/table.h"
+#include "testing/corruption.h"
 #include "testing/fault_schedule.h"
 #include "workload/meter_gen.h"
 #include "workload/query_gen.h"
@@ -672,58 +673,91 @@ Result<FaultReport> RunFaultSweep(const FaultSweepOptions& options) {
   // a deterministic read sequence, so a failing seed replays exactly.
   DGF_ASSIGN_OR_RETURN(std::unique_ptr<World> world,
                        BuildWorld(options.seed, /*worker_threads=*/1));
+  struct Probe {
+    int case_id;
+    query::Query query;
+    query::QueryResult oracle;
+  };
+  // Runs `probe` on every path, FullScan included: a result must equal the
+  // oracle and an error must pass `allowed`. Returns the allowed errors.
+  auto check_paths = [&](const Probe& probe, const std::string& context,
+                         bool (*allowed)(const Status&)) {
+    std::vector<PathRun> paths = PathsFor(*world, probe.query);
+    paths.push_back({"FullScan", world->base_exec.get(), AccessPath::kFullScan});
+    int allowed_errors = 0;
+    for (const PathRun& path : paths) {
+      ++report.executions;
+      auto result = path.exec->Execute(probe.query, path.path);
+      std::string detail;
+      if (result.ok()) {
+        detail = DescribeMismatch(probe.oracle, *result);
+        if (!detail.empty()) detail = "wrong data " + context + ": " + detail;
+      } else if (allowed(result.status())) {
+        ++allowed_errors;
+      } else {
+        detail = "unstructured error " + context + ": " +
+                 result.status().ToString();
+      }
+      if (detail.empty()) continue;
+      Divergence d;
+      d.seed = options.seed;
+      d.case_id = probe.case_id;
+      d.query = probe.query.ToString();
+      d.path_a = "FullScan(no faults)";
+      d.path_b = path.name;
+      d.detail = std::move(detail);
+      d.repro =
+          "dgf_difftest --fault-sweep --seed=" + std::to_string(options.seed);
+      report.divergences.push_back(std::move(d));
+    }
+    return allowed_errors;
+  };
+
   auto schedule = std::make_shared<SeededFaultSchedule>(
       SeededFaultSchedule::Options{.seed = options.seed});
+  std::vector<Probe> probes;
   for (int case_id = 0; case_id < options.num_queries; ++case_id) {
     const query::Query q =
         GenerateCase(*world, options.seed ^ 0xFA57ULL, case_id);
-    world->dfs->SetReadFaultInjector(nullptr);
     auto oracle = world->base_exec->Execute(q, AccessPath::kFullScan);
     if (!oracle.ok()) continue;
     ++report.queries_run;
-    std::vector<PathRun> paths = PathsFor(*world, q);
-    paths.push_back({"FullScan", world->base_exec.get(), AccessPath::kFullScan});
+    probes.push_back(Probe{case_id, q, std::move(*oracle)});
     world->dfs->SetReadFaultInjector(schedule);
-    for (const PathRun& path : paths) {
-      ++report.executions;
-      auto result = path.exec->Execute(q, path.path);
-      if (result.ok()) {
-        std::string detail = DescribeMismatch(*oracle, *result);
-        if (detail.empty()) continue;
-        Divergence d;
-        d.seed = options.seed;
-        d.case_id = case_id;
-        d.query = q.ToString();
-        d.path_a = "FullScan(no faults)";
-        d.path_b = path.name;
-        d.detail = "wrong data under fault injection: " + detail;
-        d.repro = "dgf_difftest --fault-sweep --seed=" +
-                  std::to_string(options.seed);
-        report.divergences.push_back(std::move(d));
-      } else if (result.status().ToString().find(
-                     "injected transient read error") != std::string::npos) {
-        // A burst outlasted the reader's retry budget: the structured
-        // failure the contract allows.
-        ++report.structured_errors;
-      } else {
-        Divergence d;
-        d.seed = options.seed;
-        d.case_id = case_id;
-        d.query = q.ToString();
-        d.path_a = "FullScan(no faults)";
-        d.path_b = path.name;
-        d.detail =
-            "unstructured error under fault injection: " +
-            result.status().ToString();
-        d.repro = "dgf_difftest --fault-sweep --seed=" +
-                  std::to_string(options.seed);
-        report.divergences.push_back(std::move(d));
-      }
-    }
+    // A burst that outlasts the reader's retry budget is the structured
+    // failure the contract allows.
+    report.structured_errors += check_paths(
+        probes.back(), "under fault injection", [](const Status& status) {
+          return status.ToString().find("injected transient read error") !=
+                 std::string::npos;
+        });
     world->dfs->SetReadFaultInjector(nullptr);
   }
   report.faults_injected = schedule->transient_faults();
   report.short_reads = schedule->short_reads();
+
+  // Corruption stage: base table, index tables and slice files alike.
+  std::vector<fs::FileStatus> files;
+  for (fs::FileStatus& file : world->dfs->ListFiles("/w/")) {
+    if (file.length > 0) files.push_back(std::move(file));
+  }
+  constexpr int kFlips = 4;
+  Random rng(options.seed * 0x9E3779B97F4A7C15ULL + 0xF11B);
+  for (int flip = 0; flip < kFlips && !files.empty(); ++flip) {
+    const fs::FileStatus& file = files[rng.Uniform(files.size())];
+    const uint64_t at = rng.Uniform(file.length);
+    const std::string context = "with byte " + std::to_string(at) + " of " +
+                                file.path + " flipped on disk";
+    DGF_RETURN_IF_ERROR(FlipReplicaByte(world->dfs, 0, file.path, at));
+    ++report.flips;
+    for (const Probe& probe : probes) {
+      report.corruptions_detected +=
+          check_paths(probe, context, [](const Status& status) {
+            return status.IsCorruption();
+          });
+    }
+    DGF_RETURN_IF_ERROR(FlipReplicaByte(world->dfs, 0, file.path, at));
+  }
   return report;
 }
 

@@ -113,7 +113,10 @@ Result<DiffReport> RunDifferential(const DiffOptions& options);
 /// SeededFaultSchedule injects transient read errors and short reads into
 /// every MiniDfs read. Queries must either succeed with exactly the oracle's
 /// rows or fail with the injected structured IOError — never return wrong
-/// data.
+/// data. A corruption stage follows: a few times, one seeded byte of a
+/// seeded file under the world's directory is flipped on disk, every query
+/// reruns on every path, and the byte is flipped back. A query must then
+/// return the pre-flip oracle's rows or fail with Corruption.
 struct FaultSweepOptions {
   uint64_t seed = 1;
   int num_queries = 40;
@@ -122,13 +125,18 @@ struct FaultSweepOptions {
 
 struct FaultReport {
   int queries_run = 0;
-  /// Path executions attempted under injection.
+  /// Path executions checked, under read-fault injection and on a corrupt
+  /// disk.
   int executions = 0;
   /// Executions that failed with the injected structured error (retried
   /// transient bursts longer than the reader's budget).
   int structured_errors = 0;
   uint64_t faults_injected = 0;
   uint64_t short_reads = 0;
+  /// Corruption stage: on-disk byte flips made, and path executions that
+  /// failed with Corruption while a flip was in place.
+  int flips = 0;
+  int corruptions_detected = 0;
   std::vector<Divergence> divergences;
 
   bool ok() const { return divergences.empty(); }

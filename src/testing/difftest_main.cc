@@ -13,7 +13,9 @@
 //   dgf_difftest --threads=K ...         run each world's cases on K reader
 //                                        threads against a sequential oracle
 //   dgf_difftest --crash-sweep --seed=N  LSM crash-consistency sweep only
-//   dgf_difftest --fault-sweep --seed=N  read-fault schedule sweep only
+//   dgf_difftest --fault-sweep --seed=N  read-fault schedule sweep, then
+//                                        seeded on-disk byte flips that must
+//                                        yield the oracle or Corruption
 //   dgf_difftest --parser-fuzz --seed=N [--case=K]  parser fuzz only
 //   dgf_difftest --col-fuzz --seed=N [--case=K]  columnar codec fuzz:
 //                                        flipped bits, truncations, and
@@ -200,7 +202,9 @@ bool RunFaults(const FaultSweepOptions& options) {
             std::to_string(report->executions) + " faults=" +
             std::to_string(report->faults_injected) + " short_reads=" +
             std::to_string(report->short_reads) + " structured_errors=" +
-            std::to_string(report->structured_errors) + " divergences=" +
+            std::to_string(report->structured_errors) + " flips=" +
+            std::to_string(report->flips) + " corruptions_detected=" +
+            std::to_string(report->corruptions_detected) + " divergences=" +
             std::to_string(report->divergences.size()));
   for (const auto& divergence : report->divergences) {
     std::printf("%s\n", divergence.ToString().c_str());

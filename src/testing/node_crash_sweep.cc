@@ -347,7 +347,6 @@ Result<NodeCrashSweepReport> RunNodeCrashSweep(
         dfs_options.root_dir = cluster->shard_dir(downed_shard);
         dfs_options.block_size = 16384;
         dfs_options.replication = 2;
-        dfs_options.checksum_chunk_bytes = 4096;
         DGF_ASSIGN_OR_RETURN(auto dfs, fs::MiniDfs::Open(dfs_options));
         DGF_ASSIGN_OR_RETURN(const uint64_t rebuilt, dfs->ReReplicate());
         if (rebuilt == 0) {

@@ -71,8 +71,6 @@ Result<std::unique_ptr<ShardedCluster>> ShardedCluster::Start(
     dfs_options.root_dir = dir.string();
     dfs_options.block_size = 16384;
     dfs_options.replication = options.replication;
-    // Small chunks so laptop-scale files still span many checksum chunks.
-    dfs_options.checksum_chunk_bytes = 4096;
     DGF_ASSIGN_OR_RETURN(s->dfs, fs::MiniDfs::Open(dfs_options));
 
     // The shard's slice of the dataset: exactly the rows whose time value

@@ -37,7 +37,8 @@ class ShardedCluster {
     /// Replicate the userInfo archive to every shard (broadcast joins).
     bool with_user_info = false;
     /// MiniDfs replication factor for every shard's DFS: k replica stores
-    /// with chunk checksums and failover reads (1 = legacy single copy).
+    /// with failover reads (1 = one checksummed copy, nothing to fail over
+    /// to).
     int replication = 1;
     /// Start a second wire server per shard over the same QueryService (the
     /// shard's replica endpoint) and hand those endpoints to the

@@ -30,6 +30,12 @@
 namespace dgf::testing {
 namespace {
 
+// How long a hostile connection waits for a reply before taking silence as
+// its outcome, and how long the HTTP exporter waits for a request head.
+// Silence and a dropped connection are accepted outcomes, so this only
+// bounds the idle time per case; a loopback reply lands in microseconds.
+constexpr double kReplyWaitSeconds = 0.25;
+
 /// Valid encoded request and response bodies covering every opcode and every
 /// payload shape the codec knows; mutation starts from these so the fuzz
 /// inputs stay near the interesting boundaries (length prefixes, varints,
@@ -307,8 +313,8 @@ void RunLiveCase(int port, uint64_t seed, int case_id,
     const std::string ping_body = server::EncodeRequest(ping);
     (void)SendAll(*fd, Framed(ping_body,
                               static_cast<uint32_t>(ping_body.size())));
-    (void)server::SetRecvTimeout(*fd, 1.0);
-    auto readable = server::WaitReadable(*fd, 1.0);
+    (void)server::SetRecvTimeout(*fd, kReplyWaitSeconds);
+    auto readable = server::WaitReadable(*fd, kReplyWaitSeconds);
     if (readable.ok() && *readable) {
       std::string resp;
       auto got = server::ReadFrame(*fd, &resp);
@@ -407,7 +413,7 @@ void RunHttpCase(int port, uint64_t seed, int case_id,
   // Half the time read whatever comes back (bounded); otherwise close
   // immediately — the early-abort client.
   if (rng.Uniform(2) == 0) {
-    (void)server::SetRecvTimeout(*fd, 1.0);
+    (void)server::SetRecvTimeout(*fd, kReplyWaitSeconds);
     char buf[1024];
     while (::recv(*fd, buf, sizeof(buf), 0) > 0) {
     }
@@ -519,7 +525,7 @@ Result<WireFuzzReport> RunWireFuzz(const WireFuzzOptions& options) {
     obs::HttpExporter::Options http_options;
     http_options.registry = &registry;
     http_options.trace_log = &trace_log;
-    http_options.recv_timeout_seconds = 1.0;
+    http_options.recv_timeout_seconds = kReplyWaitSeconds;
     DGF_ASSIGN_OR_RETURN(auto exporter,
                          obs::HttpExporter::Start(http_options));
     for (int case_id = 0; case_id < options.num_http_cases; ++case_id) {

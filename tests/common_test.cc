@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/encoding.h"
@@ -128,6 +129,43 @@ TEST(EncodingTest, OrderedDoublePreservesOrder) {
     encoded.push_back(buf);
   }
   EXPECT_TRUE(std::is_sorted(encoded.begin(), encoded.end()));
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven Crc32 must match.
+uint32_t BitwiseCrc32(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(EncodingTest, Crc32KnownAnswer) {
+  EXPECT_EQ(Crc32(0, "123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(0, ""), 0u);
+}
+
+TEST(EncodingTest, Crc32ChainsAcrossEverySplit) {
+  Random rng(53);
+  std::string buffer(8 + 40, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(256));
+  // Unaligned starts and lengths 0-40 cover the 8-byte loop and its tail.
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 40; ++len) {
+      const std::string_view whole(buffer.data() + start, len);
+      const uint32_t expected = BitwiseCrc32(whole);
+      EXPECT_EQ(Crc32(0, whole), expected) << start << "+" << len;
+      for (size_t cut = 0; cut <= len; ++cut) {
+        EXPECT_EQ(Crc32(Crc32(0, whole.substr(0, cut)), whole.substr(cut)),
+                  expected)
+            << start << "+" << len << " cut " << cut;
+      }
+    }
+  }
 }
 
 TEST(StringUtilTest, SplitKeepsEmptyFields) {

@@ -1,14 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "fs/mini_dfs.h"
+#include "testing/corruption.h"
 #include "tests/test_util.h"
 
 namespace dgf::fs {
 namespace {
 
+using ::dgf::testing::FlipReplicaByte;
 using ::dgf::testing::ScopedDfs;
+
+constexpr uint64_t kChunk = MiniDfs::kChecksumChunkBytes;
+
+std::string Pattern(size_t n, int salt) {
+  std::string out(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>('a' + (i + salt) % 26);
+  }
+  return out;
+}
 
 TEST(MiniDfsTest, CreateWriteRead) {
   ScopedDfs dfs("fs_basic");
@@ -156,6 +169,78 @@ TEST(MiniDfsTest, ReopenRecoversNamespace) {
   fs::MiniDfs::Options options;
   ASSERT_OK_AND_ASSIGN(auto st, dfs->Stat("/keep/me"));
   (void)st;
+}
+
+// Replication 1 is the replicated path with one store: the copy lives in
+// r0/, every chunk is checksummed, and a flipped byte is a Corruption error
+// (there is no sibling to fail over to), never wrong data.
+TEST(MiniDfsTest, SingleCopyIsChecksummed) {
+  ScopedDfs dfs("fs_single_copy");
+  ASSERT_EQ(dfs->replication(), 1);
+  const std::string content = Pattern(3 * kChunk + 100, 0);
+  {
+    ASSERT_OK_AND_ASSIGN(auto writer, dfs->Create("/k1/data"));
+    ASSERT_OK(writer->Append(content));
+    ASSERT_OK(writer->Close());
+  }
+  const std::string local = dfs->StoreLocalPath(0, "/k1/data");
+  EXPECT_EQ(local, (dfs.dir() / "r0" / "k1" / "data").string());
+  EXPECT_TRUE(std::filesystem::exists(local));
+
+  ASSERT_OK(FlipReplicaByte(dfs.get(), /*store=*/0, "/k1/data",
+                            /*at=*/kChunk + 7));
+  ASSERT_OK_AND_ASSIGN(auto reader, dfs->OpenForRead("/k1/data"));
+  std::string out;
+  const uint64_t failures = dfs->TotalChecksumFailures();
+  const Status read = reader->Pread(0, content.size(), &out);
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
+  EXPECT_GT(dfs->TotalChecksumFailures(), failures);
+  EXPECT_TRUE(dfs->VerifyReplicas("/k1/data").IsCorruption());
+  // Chunks clear of the flip still read back.
+  ASSERT_OK(reader->Pread(2 * kChunk + 10, 200, &out));
+  EXPECT_EQ(out, content.substr(2 * kChunk + 10, 200));
+
+  // Undo the flip; a cold reopen rebuilds the sums from disk and reads the
+  // file back exactly.
+  ASSERT_OK(FlipReplicaByte(dfs.get(), /*store=*/0, "/k1/data",
+                            /*at=*/kChunk + 7));
+  MiniDfs::Options options;
+  options.root_dir = dfs.dir().string();
+  ASSERT_OK_AND_ASSIGN(auto reopened, MiniDfs::Open(options));
+  ASSERT_OK_AND_ASSIGN(auto cold, reopened->OpenForRead("/k1/data"));
+  ASSERT_OK(cold->Pread(0, content.size(), &out));
+  EXPECT_EQ(out, content);
+  EXPECT_OK(reopened->VerifyReplicas("/k1/data"));
+}
+
+// Append resumes the running checksums from the sealed ones, including a
+// partial tail chunk whose CRC keeps extending across the reopen.
+TEST(MiniDfsTest, AppendResumesChecksumsAcrossPartialChunk) {
+  ScopedDfs dfs("fs_append_sums");
+  const std::string head = Pattern(700, 0);
+  const std::string tail = Pattern(900, 5);
+  {
+    ASSERT_OK_AND_ASSIGN(auto writer, dfs->Create("/log"));
+    ASSERT_OK(writer->Append(head));
+    ASSERT_OK(writer->Close());
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(auto writer, dfs->Append("/log"));
+    EXPECT_EQ(writer->Offset(), head.size());
+    ASSERT_OK(writer->Append(tail));
+    ASSERT_OK(writer->Close());
+  }
+  EXPECT_OK(dfs->VerifyReplicas("/log"));
+  ASSERT_OK_AND_ASSIGN(auto reader, dfs->OpenForRead("/log"));
+  std::string out;
+  ASSERT_OK(reader->Pread(0, head.size() + tail.size(), &out));
+  EXPECT_EQ(out, head + tail);
+
+  // Byte 800 sits in chunk 1, which the append resumed at byte 700.
+  ASSERT_OK(FlipReplicaByte(dfs.get(), /*store=*/0, "/log", /*at=*/800));
+  const Status read = reader->Pread(kChunk, 10, &out);
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
+  EXPECT_TRUE(dfs->VerifyReplicas("/log").IsCorruption());
 }
 
 }  // namespace

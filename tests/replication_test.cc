@@ -41,15 +41,15 @@ using ::dgf::testing::ScopedDfs;
 using ::dgf::testing::SeededWorld;
 using ::dgf::testing::ShardedCluster;
 
-fs::MiniDfs::Options ReplicatedOptions(int replication,
-                                       uint64_t chunk_bytes = 64) {
+fs::MiniDfs::Options ReplicatedOptions(int replication) {
   fs::MiniDfs::Options options;
   options.block_size = 1 << 20;
   options.replication = replication;
-  // Tiny chunks so a handful of bytes spans several checksum chunks.
-  options.checksum_chunk_bytes = chunk_bytes;
   return options;
 }
+
+// Contents spanning several 512-byte checksum chunks plus a partial tail.
+constexpr size_t kMultiChunkBytes = 3 * fs::MiniDfs::kChecksumChunkBytes + 300;
 
 // A DFS path (under /pref) whose hash-rotated read preference starts at
 // `store` — ReplicaOrder is a pure function of the path, so the preference
@@ -113,7 +113,7 @@ class AlwaysTransientInjector : public fs::ReadFaultInjector {
 
 TEST(ReplicationTest, PlacementFansOutToKDistinctStores) {
   ScopedDfs dfs("repl_placement", ReplicatedOptions(3));
-  const std::string content(300, 'x');  // several 64-byte chunks
+  const std::string content(kMultiChunkBytes, 'x');
   WriteFile(dfs.get(), "/a/data.txt", content);
 
   // Every store holds a byte-identical copy at its own local path.
@@ -141,21 +141,13 @@ TEST(ReplicationTest, PlacementFansOutToKDistinctStores) {
   EXPECT_EQ(ReadAll(dfs.get(), "/a/data.txt"), content);
 }
 
-TEST(ReplicationTest, ReplicationOneKeepsLegacyLayout) {
-  ScopedDfs dfs("repl_legacy", 1 << 20);
-  WriteFile(dfs.get(), "/a/data.txt", "hello");
-  // No r0/ indirection: the file lives directly under the root.
-  EXPECT_TRUE(std::filesystem::exists(dfs.dir() / "a" / "data.txt"));
-  EXPECT_EQ(ReadAll(dfs.get(), "/a/data.txt"), "hello");
-}
-
 // ---------------------------------------------------------------------------
 // Failover reads.
 
 TEST(ReplicationTest, ReadFailsOverOnInjectedFault) {
   ScopedDfs dfs("repl_fault", ReplicatedOptions(2));
   const std::string path = PathPreferring(dfs.get(), /*store=*/0);
-  const std::string content(200, 'y');
+  const std::string content(kMultiChunkBytes, 'y');
   WriteFile(dfs.get(), path, content);
 
   // Poison only store 0 — the *preferred* replica. The read must retry past
@@ -182,11 +174,12 @@ TEST(ReplicationTest, ReadFailsOverOnChecksumMismatch) {
   ScopedDfs dfs("repl_crc", ReplicatedOptions(2));
   const std::string path = PathPreferring(dfs.get(), /*store=*/0);
   std::string content;
-  for (int i = 0; i < 50; ++i) content += "chunked-content-";
+  while (content.size() < kMultiChunkBytes) content += "chunked-content-";
   WriteFile(dfs.get(), path, content);
 
-  // Corrupt one byte of the preferred store's copy behind the DFS's back.
-  ASSERT_OK(FlipReplicaByte(dfs.get(), /*store=*/0, path, /*at=*/100));
+  // Corrupt one byte of the preferred store's copy behind the DFS's back,
+  // inside its second checksum chunk.
+  ASSERT_OK(FlipReplicaByte(dfs.get(), /*store=*/0, path, /*at=*/700));
 
   // The read detects the chunk-checksum mismatch, abandons the corrupt
   // replica, and serves the intact sibling — bytes exact, corruption
@@ -202,7 +195,7 @@ TEST(ReplicationTest, ReadFailsOverOnChecksumMismatch) {
 
 TEST(ReplicationTest, DegradedReadsDownToLastReplicaThenStructuredError) {
   ScopedDfs dfs("repl_degraded", ReplicatedOptions(3));
-  const std::string content(150, 'z');
+  const std::string content(kMultiChunkBytes, 'z');
   WriteFile(dfs.get(), "/d/file.txt", content);
 
   // k-1 stores die (processes, not disks): reads keep working off whatever
@@ -231,7 +224,7 @@ TEST(ReplicationTest, DegradedReadsDownToLastReplicaThenStructuredError) {
 
 TEST(ReplicationTest, ReReplicateRepairsWipedStore) {
   ScopedDfs dfs("repl_repair", ReplicatedOptions(2));
-  const std::string content(500, 'a');
+  const std::string content(kMultiChunkBytes, 'a');
   WriteFile(dfs.get(), "/r/before.txt", content);
 
   // Store 1 loses its disk; a file written while it is gone lands only on
@@ -293,7 +286,7 @@ TEST(ReplicationTest, ColdReopenRebuildsNamespaceFromSurvivingStore) {
   fs::MiniDfs::Options options = ReplicatedOptions(2);
   options.root_dir = dir.string();
 
-  const std::string content(300, 'c');
+  const std::string content(kMultiChunkBytes, 'c');
   {
     ASSERT_OK_AND_ASSIGN(auto dfs, fs::MiniDfs::Open(options));
     auto writer = dfs->Create("/cold/a.txt");

@@ -43,7 +43,7 @@ class ScopedDfs {
     Start(tag, options);
   }
 
-  /// Full-options variant (replication / checksum chunk experiments);
+  /// Full-options variant (replication experiments);
   /// `base.root_dir` is ignored and replaced with the scoped temp dir.
   ScopedDfs(const std::string& tag, fs::MiniDfs::Options base) {
     Start(tag, std::move(base));
