@@ -19,10 +19,9 @@
 // cluster (per-shard servers behind the scatter-gather coordinator) instead
 // of a single server, so the sharded and single-node configurations are
 // directly comparable. --replication=k backs every DFS with k replica
-// stores (fan-out writes, chunk checksums, failover reads; against the
-// cluster it also arms per-shard replica endpoints), making the write
-// amplification and read-path cost of replication a measurable axis of the
-// same report. Every run appends one QPS/latency record to
+// stores (fan-out writes, chunk checksums, failover reads), making the
+// write amplification and read-path cost of replication a measurable axis
+// of the same report. Every run appends one QPS/latency record to
 // BENCH_build.json (path overridable via DGF_BENCH_BUILD_JSON).
 //
 // Exits non-zero if any query fails with an error other than the structured
@@ -71,9 +70,7 @@ struct Flags {
   int max_pending = 32;
   /// 0 = single server; N >= 1 = N-shard cluster behind the coordinator.
   int shards = 0;
-  /// DFS replication factor (1 = one checksummed copy). Against the cluster
-  /// this also starts per-shard replica endpoints and hands them to the
-  /// coordinator.
+  /// DFS replication factor (1 = one checksummed copy).
   int replication = 1;
   /// >= 0: serve the HTTP observability exporter and assert it stays
   /// responsive under load (0 = ephemeral port). < 0 (default): off.
@@ -211,7 +208,6 @@ int Main(int argc, char** argv) {
     cluster_options.num_shards = flags.shards;
     cluster_options.with_user_info = true;  // join templates need the archive
     cluster_options.replication = flags.replication;
-    cluster_options.replica_servers = flags.replication > 1;
     cluster_options.max_concurrent = flags.max_concurrent;
     cluster_options.max_pending = flags.max_pending;
     auto started = testing::ShardedCluster::Start(cluster_options);

@@ -50,9 +50,9 @@ stage "shard smoke"      ./build/src/dgf_difftest --shard-sweep --wire-fuzz \
   --count=3 --seed=11
 # Replication smoke: the node-crash survivability sweep — 2-way replicated
 # LSM-backed clusters take a store kill (failover reads), a wipe + repair, a
-# primary kill mid-stream (coordinator replica retry), and a daemon kill +
-# cold reopen with one store dir destroyed; every answer must equal the
-# single-node oracle and recovery must equal the acknowledged prefix.
+# marker append, and a daemon kill + cold reopen with one store dir
+# destroyed; every answer must equal the single-node oracle and recovery
+# must equal the acknowledged prefix.
 stage "replication smoke" ./build/src/dgf_difftest --node-crash-sweep \
   --seed=41 --seeds=2
 # Observability suite: registry/histogram/exporter/trace tests, then an

@@ -155,8 +155,7 @@ void FoldStats(query::QueryStats* into, const query::QueryStats& part) {
 Coordinator::Coordinator(Options options)
     : options_(std::move(options)),
       pool_(std::max(1, options_.max_concurrent)),
-      // One free list per shard primary, plus one per shard replica.
-      free_(2 * std::max<size_t>(1, options_.shards.size())) {
+      free_(std::max<size_t>(1, options_.shards.size())) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
@@ -175,8 +174,6 @@ Coordinator::Coordinator(Options options)
   c_appends_ = metrics_->GetCounter("appends.batches");
   c_rows_appended_ = metrics_->GetCounter("appends.rows");
   c_append_shard_batches_ = metrics_->GetCounter("appends.shard_batches");
-  c_replica_retries_ = metrics_->GetCounter("coord.replica_retries");
-  c_replica_successes_ = metrics_->GetCounter("coord.replica_successes");
   latency_ = metrics_->GetHistogram("latency");
   metrics_->GetGauge("coord.shards")
       ->Set(static_cast<double>(options_.shard_map.num_shards()));
@@ -214,29 +211,17 @@ Result<query::Query> Coordinator::Parse(const std::string& sql) const {
   return query::ParseQuery(sql, it->second.schema, right);
 }
 
-bool Coordinator::HasReplica(int shard) const {
-  if (options_.replicas.size() != options_.shards.size()) return false;
-  const ShardEndpoint& endpoint =
-      options_.replicas[static_cast<size_t>(shard)];
-  return endpoint.port != 0 || !endpoint.unix_path.empty();
-}
-
-Result<std::unique_ptr<ServerClient>> Coordinator::Checkout(int shard,
-                                                            bool replica) {
-  const size_t slot = static_cast<size_t>(shard) +
-                      (replica ? options_.shards.size() : 0);
+Result<std::unique_ptr<ServerClient>> Coordinator::Checkout(int shard) {
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
-    auto& idle = free_[slot];
+    auto& idle = free_[static_cast<size_t>(shard)];
     if (!idle.empty()) {
       auto client = std::move(idle.back());
       idle.pop_back();
       return client;
     }
   }
-  const ShardEndpoint& endpoint =
-      replica ? options_.replicas[static_cast<size_t>(shard)]
-              : options_.shards[static_cast<size_t>(shard)];
+  const ShardEndpoint& endpoint = options_.shards[static_cast<size_t>(shard)];
   Result<std::unique_ptr<ServerClient>> client =
       endpoint.unix_path.empty()
           ? ServerClient::ConnectTcp(endpoint.host, endpoint.port,
@@ -250,55 +235,9 @@ Result<std::unique_ptr<ServerClient>> Coordinator::Checkout(int shard,
   return client;
 }
 
-void Coordinator::Checkin(int shard, bool replica,
-                          std::unique_ptr<ServerClient> client) {
-  const size_t slot = static_cast<size_t>(shard) +
-                      (replica ? options_.shards.size() : 0);
+void Coordinator::Checkin(int shard, std::unique_ptr<ServerClient> client) {
   std::lock_guard<std::mutex> lock(pool_mu_);
-  free_[slot].push_back(std::move(client));
-}
-
-bool Coordinator::TryReplicaRetry(ShardCall& call, double deadline_seconds,
-                                  uint64_t trace_id, const Stopwatch& elapsed,
-                                  CancelToken* token) {
-  if (call.on_replica || !HasReplica(call.shard)) return false;
-  if (token != nullptr && !token->Check().ok()) return false;
-  call.on_replica = true;  // at most one failover per call, success or not
-  c_replica_retries_->Increment();
-  auto client = Checkout(call.shard, /*replica=*/true);
-  if (!client.ok()) return false;
-  const double remaining =
-      deadline_seconds > 0
-          ? std::max(0.001, deadline_seconds - elapsed.ElapsedSeconds())
-          : 0;
-  auto started = (*client)->StartQuery(call.sub_sql, remaining, trace_id);
-  if (!started.ok()) return false;
-  // Await synchronously, honoring our token and the shard-response timeout;
-  // a replica that also fails leaves the caller's original Unavailable in
-  // place (the retry is strictly one-shot).
-  Stopwatch silent;
-  while (true) {
-    auto got = (*client)->AwaitFor(*started, options_.poll_interval_seconds);
-    if (!got.ok()) return false;
-    if (got->has_value()) {
-      call.response = std::move(**got);
-      call.request_id = *started;
-      call.client = std::move(*client);
-      call.response_seconds = elapsed.ElapsedSeconds();
-      call.done = true;
-      call.broken = false;
-      call.cancel_sent = false;
-      c_replica_successes_->Increment();
-      return true;
-    }
-    if (token != nullptr && !token->Check().ok()) {
-      (void)(*client)->StartCancel(*started);
-      return false;
-    }
-    if (silent.ElapsedSeconds() > options_.shard_response_timeout_seconds) {
-      return false;
-    }
-  }
+  free_[static_cast<size_t>(shard)].push_back(std::move(client));
 }
 
 Status Coordinator::SubmitQuery(uint64_t request_id, std::string sql,
@@ -427,40 +366,29 @@ Result<query::QueryResult> Coordinator::ExecuteScatterGather(
   for (const auto& [shard, sub_sql] : targets) {
     ShardCall call;
     call.shard = shard;
-    call.sub_sql = sub_sql;
-    Status scatter_error;
-    auto client = Checkout(shard, /*replica=*/false);
+    auto client = Checkout(shard);
     if (!client.ok()) {
-      scatter_error = Status::Unavailable(
+      failure = Status::Unavailable(
           "shard " + std::to_string(shard) + " (" +
           options_.shards[static_cast<size_t>(shard)].ToString() +
           ") unavailable: " + client.status().message());
-    } else {
-      call.client = std::move(*client);
-      const double remaining =
-          deadline_seconds > 0
-              ? std::max(0.001, deadline_seconds - elapsed.ElapsedSeconds())
-              : 0;
-      call.dispatch_seconds = elapsed.ElapsedSeconds();
-      auto started = call.client->StartQuery(sub_sql, remaining, trace_id);
-      if (!started.ok()) {
-        scatter_error = Status::Unavailable(
-            "shard " + std::to_string(shard) + " (" +
-            options_.shards[static_cast<size_t>(shard)].ToString() +
-            ") unavailable: " + started.status().message());
-      } else {
-        call.request_id = *started;
-      }
+      break;
     }
-    if (!scatter_error.ok()) {
-      // Unreachable primary: run this read sub-query once against the
-      // shard's replica endpoint (synchronously) before failing the query.
-      if (!TryReplicaRetry(call, deadline_seconds, trace_id, elapsed,
-                           token)) {
-        failure = std::move(scatter_error);
-        break;
-      }
+    call.client = std::move(*client);
+    const double remaining =
+        deadline_seconds > 0
+            ? std::max(0.001, deadline_seconds - elapsed.ElapsedSeconds())
+            : 0;
+    call.dispatch_seconds = elapsed.ElapsedSeconds();
+    auto started = call.client->StartQuery(sub_sql, remaining, trace_id);
+    if (!started.ok()) {
+      failure = Status::Unavailable(
+          "shard " + std::to_string(shard) + " (" +
+          options_.shards[static_cast<size_t>(shard)].ToString() +
+          ") unavailable: " + started.status().message());
+      break;
     }
+    call.request_id = *started;
     calls.push_back(std::move(call));
   }
 
@@ -479,15 +407,6 @@ Result<query::QueryResult> Coordinator::ExecuteScatterGather(
                                 options_.poll_interval_seconds);
       if (!got.ok()) {
         call.broken = true;
-        // The primary died mid-query; the sub-query is an idempotent read,
-        // so retry it once on the shard's replica before giving up. (Not
-        // attempted when our own cancel/deadline tripped — the failure to
-        // report is the token's.)
-        if (!token_tripped &&
-            TryReplicaRetry(call, deadline_seconds, trace_id, elapsed,
-                            token)) {
-          break;  // call.done is set; gather proceeds to the next call
-        }
         failure = Status::Unavailable(
             "shard " + std::to_string(call.shard) + " (" +
             options_.shards[static_cast<size_t>(call.shard)].ToString() +
@@ -517,11 +436,6 @@ Result<query::QueryResult> Coordinator::ExecuteScatterGather(
           token_tripped ? cancel_wait.ElapsedSeconds() : silent.ElapsedSeconds();
       if (silent_for > options_.shard_response_timeout_seconds) {
         call.broken = true;
-        if (!token_tripped &&
-            TryReplicaRetry(call, deadline_seconds, trace_id, elapsed,
-                            token)) {
-          break;  // the replica answered the hung primary's sub-query
-        }
         failure =
             token_tripped
                 ? token->Check()
@@ -560,7 +474,7 @@ Result<query::QueryResult> Coordinator::ExecuteScatterGather(
   // Connections with no leftover in-flight traffic go back to the pool.
   for (ShardCall& call : calls) {
     if (call.done && !call.broken && !call.cancel_sent) {
-      Checkin(call.shard, call.on_replica, std::move(call.client));
+      Checkin(call.shard, std::move(call.client));
     }
   }
   DGF_RETURN_IF_ERROR(failure);
@@ -743,7 +657,7 @@ Result<uint64_t> Coordinator::Append(const std::string& table,
     threads.emplace_back([this, shard, &buckets, &table, &result_mu, &failure,
                           &appended] {
       Status status;
-      auto client = Checkout(static_cast<int>(shard), /*replica=*/false);
+      auto client = Checkout(static_cast<int>(shard));
       if (!client.ok()) {
         status = Status::Unavailable(
             "shard " + std::to_string(shard) + " (" +
@@ -759,8 +673,7 @@ Result<uint64_t> Coordinator::Append(const std::string& table,
         } else if (!response->ok()) {
           status = server::ResponseStatus(*response);
         } else {
-          Checkin(static_cast<int>(shard), /*replica=*/false,
-                  std::move(*client));
+          Checkin(static_cast<int>(shard), std::move(*client));
         }
       }
       std::lock_guard<std::mutex> lock(result_mu);
@@ -786,7 +699,7 @@ Result<uint64_t> Coordinator::Append(const std::string& table,
 
 std::vector<std::pair<std::string, double>> Coordinator::StatsSnapshot()
     const {
-  return server::StatsFromRegistry(metrics_);
+  return metrics_->Snapshot();
 }
 
 void Coordinator::BeginDrain() {

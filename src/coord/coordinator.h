@@ -59,15 +59,6 @@ class Coordinator : public server::WireService {
     ShardMap shard_map;
     /// One endpoint per shard; size must equal shard_map.num_shards().
     std::vector<ShardEndpoint> shards;
-    /// Optional replica endpoint per shard (empty vector, or same size as
-    /// `shards`; an entry with port 0 and no unix path means "no replica
-    /// for this shard"). When a shard's primary connection cannot be
-    /// established, dies mid-query, or goes unresponsive, an *idempotent
-    /// read* sub-query is retried exactly once against the replica before
-    /// the query fails Unavailable. Appends are never retried on a replica
-    /// (routing writes through one endpoint keeps the at-least-once append
-    /// contract single-homed).
-    std::vector<ShardEndpoint> replicas;
     /// Fan-out workers == queries the coordinator runs at once.
     int max_concurrent = 4;
     /// Admitted-but-not-running queries beyond that; one more is
@@ -117,7 +108,6 @@ class Coordinator : public server::WireService {
   /// One shard's in-flight sub-query during a fan-out.
   struct ShardCall {
     int shard = 0;
-    std::string sub_sql;
     std::unique_ptr<server::ServerClient> client;
     uint64_t request_id = 0;
     bool done = false;
@@ -125,9 +115,6 @@ class Coordinator : public server::WireService {
     bool cancel_sent = false;
     /// Transport-level failure: the connection is not returned to the pool.
     bool broken = false;
-    /// The call's answer came from (or is being retried on) the shard's
-    /// replica endpoint; at most one failover per call.
-    bool on_replica = false;
     /// Trace bookkeeping: offsets (on the scatter stopwatch) when the
     /// sub-query was dispatched and when its response was observed. The
     /// difference is the shard's RPC span.
@@ -135,18 +122,8 @@ class Coordinator : public server::WireService {
     double response_seconds = 0;
   };
 
-  bool HasReplica(int shard) const;
-  Result<std::unique_ptr<server::ServerClient>> Checkout(int shard,
-                                                         bool replica);
-  void Checkin(int shard, bool replica,
-               std::unique_ptr<server::ServerClient> client);
-  /// Re-runs `call`'s read sub-query synchronously against the shard's
-  /// replica endpoint (once per call). On success fills call.response/done
-  /// and swaps in the replica connection; on any failure the caller's
-  /// original Unavailable stands.
-  bool TryReplicaRetry(ShardCall& call, double deadline_seconds,
-                       uint64_t trace_id, const Stopwatch& elapsed,
-                       CancelToken* token);
+  Result<std::unique_ptr<server::ServerClient>> Checkout(int shard);
+  void Checkin(int shard, std::unique_ptr<server::ServerClient> client);
 
   /// `queued` was started at admission; its elapsed time when the fan-out
   /// worker picks the query up is the admission-wait span.
@@ -199,8 +176,6 @@ class Coordinator : public server::WireService {
   obs::Counter* c_appends_ = nullptr;
   obs::Counter* c_rows_appended_ = nullptr;
   obs::Counter* c_append_shard_batches_ = nullptr;
-  obs::Counter* c_replica_retries_ = nullptr;
-  obs::Counter* c_replica_successes_ = nullptr;
   /// Coordinator-side query wall time (seconds); replaces the old window.
   obs::Histogram* latency_ = nullptr;
 };

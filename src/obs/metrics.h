@@ -105,7 +105,7 @@ class Histogram {
 ///
 /// Naming scheme: lowercase dotted paths, `<component>.<what>[_<unit>]` —
 /// `queries.admitted`, `appends.staging_s`, `fs.read_failovers`,
-/// `coord.replica_retries`. Histograms flatten into `<name>.count`,
+/// `coord.shard_errors`. Histograms flatten into `<name>.count`,
 /// `<name>.sum`, `<name>.p50/.p95/.p99` in snapshots; the Prometheus
 /// renderer emits them as real histogram series with `le` buckets.
 class MetricsRegistry {

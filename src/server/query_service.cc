@@ -339,34 +339,7 @@ Status QueryService::ReorganizeAppendBatch(const TableEntry& entry,
 
 std::vector<std::pair<std::string, double>> QueryService::StatsSnapshot()
     const {
-  return StatsFromRegistry(metrics_);
-}
-
-std::vector<std::pair<std::string, double>> StatsFromRegistry(
-    const obs::MetricsRegistry* metrics) {
-  auto out = metrics->Snapshot();
-  // Legacy aliases: the snapshot already carries the raw series
-  // (cache.hits/misses, latency.count/.p50...in seconds); these derived
-  // names predate the registry and stay for dashboards and tests.
-  double hits = 0;
-  double misses = 0;
-  double p50 = 0, p95 = 0, p99 = 0, samples = 0;
-  for (const auto& [name, value] : out) {
-    if (name == "cache.hits") hits = value;
-    if (name == "cache.misses") misses = value;
-    if (name == "latency.count") samples = value;
-    if (name == "latency.p50") p50 = value;
-    if (name == "latency.p95") p95 = value;
-    if (name == "latency.p99") p99 = value;
-  }
-  const double lookups = hits + misses;
-  out.emplace_back("cache.hit_rate", lookups > 0 ? hits / lookups : 0.0);
-  out.emplace_back("latency.samples", samples);
-  out.emplace_back("latency.p50_ms", p50 * 1e3);
-  out.emplace_back("latency.p95_ms", p95 * 1e3);
-  out.emplace_back("latency.p99_ms", p99 * 1e3);
-  std::sort(out.begin(), out.end());
-  return out;
+  return metrics_->Snapshot();
 }
 
 void QueryService::BeginDrain() {

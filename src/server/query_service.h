@@ -30,13 +30,6 @@ namespace dgf::server {
 /// coordinator) peek at the table names first.
 std::string TableAfterKeyword(std::string_view sql, std::string_view kw);
 
-/// Registry snapshot plus the legacy derived series (cache.hit_rate,
-/// latency.samples, latency.p50_ms/p95_ms/p99_ms) predating the registry.
-/// Shared by QueryService and the coordinator so both STATS surfaces keep
-/// the same name shape.
-std::vector<std::pair<std::string, double>> StatsFromRegistry(
-    const obs::MetricsRegistry* metrics);
-
 /// The server-side query engine: a catalog of tables and indexes, a worker
 /// pool bounding query concurrency, admission control bounding the pending
 /// queue, and per-query cancellation tokens.
@@ -114,9 +107,8 @@ class QueryService : public WireService {
   Result<uint64_t> Append(const std::string& table,
                           const std::vector<std::string>& rows) override;
 
-  /// Counter snapshot for the STATS opcode: the registry's snapshot plus
-  /// the legacy aliases (cache.hit_rate, latency.samples, latency.p*_ms)
-  /// older dashboards and the tests key on.
+  /// Counter snapshot for the STATS opcode: the registry's snapshot, the
+  /// same names HTTP `/stats` serves.
   std::vector<std::pair<std::string, double>> StatsSnapshot() const override;
 
   /// Stops admitting queries (new submissions get Unavailable).

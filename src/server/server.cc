@@ -70,8 +70,6 @@ Result<int> ListenUnix(const std::string& path) {
 
 }  // namespace
 
-std::atomic<uint64_t> Server::next_service_id_{1};
-
 Result<std::unique_ptr<Server>> Server::Start(Options options) {
   if (options.service == nullptr) {
     return Status::InvalidArgument("Server requires a WireService");
@@ -251,15 +249,9 @@ bool Server::HandleRequest(const std::shared_ptr<Connection>& conn,
     }
     case Opcode::kShutdown: {
       // Drain before acking: the ack is the signal that every in-flight
-      // query has completed and its response has been written. An endpoint
-      // that shares its service with siblings (drain_service_on_shutdown
-      // false) must not poison them, so there SHUTDOWN closes just this
-      // endpoint and the ack only means "endpoint closing"; the owner
-      // drains once every endpoint is down.
-      if (options_.drain_service_on_shutdown) {
-        service->BeginDrain();
-        service->Drain();
-      }
+      // query has completed and its response has been written.
+      service->BeginDrain();
+      service->Drain();
       Response response;
       response.opcode = Opcode::kShutdown;
       response.request_id = request.request_id;
@@ -301,7 +293,7 @@ void Server::Shutdown() {
     ::close(listen_fd);
   }
 
-  if (options_.drain_service_on_shutdown) options_.service->BeginDrain();
+  options_.service->BeginDrain();
   // Wake every connection reader; in-flight queries still complete (their
   // responses go to whatever sockets remain writable) before Drain returns.
   for (const auto& conn : connections) {
@@ -310,10 +302,7 @@ void Server::Shutdown() {
       ::shutdown(conn->fd, SHUT_RDWR);
     }
   }
-  // Without the drain (shared service), in-flight completions race the
-  // thread join harmlessly: each writes through its connection's suppressed
-  // writer and the Connection outlives us via the callback's shared_ptr.
-  if (options_.drain_service_on_shutdown) options_.service->Drain();
+  options_.service->Drain();
   for (std::thread& thread : threads) thread.join();
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
 }

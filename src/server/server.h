@@ -34,23 +34,14 @@ namespace dgf::server {
 class Server {
  public:
   struct Options {
-    /// Borrowed; must outlive the server.
+    /// Borrowed; must outlive the server. One Server per service: the
+    /// server keys the service's in-flight queries by its own ids, and its
+    /// shutdown drains the service.
     WireService* service = nullptr;
     /// Non-empty: listen on this Unix socket path instead of TCP.
     std::string unix_path;
     /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see `port()`).
     int port = 0;
-    /// Whether shutting this server down drains the service (stop
-    /// admission, wait for in-flight queries) first. Set false when several
-    /// servers front the SAME service — a shard's primary and replica
-    /// endpoints — so killing one endpoint does not mark the shared service
-    /// draining and poison its siblings. In-flight completions then land on
-    /// the closed connection's suppressed writer, which is already how a
-    /// vanished peer is handled. A client-sent SHUTDOWN request follows the
-    /// same rule: it drains the whole service on an owning endpoint, and
-    /// closes just this endpoint on a shared one (the owner drains after
-    /// the last endpoint is down).
-    bool drain_service_on_shutdown = true;
   };
 
   static Result<std::unique_ptr<Server>> Start(Options options);
@@ -100,10 +91,8 @@ class Server {
   std::atomic<int> listen_fd_{-1};
   int port_ = 0;
   std::atomic<bool> stopping_{false};
-  /// Process-wide: several servers can front the SAME service (a shard's
-  /// primary + replica endpoints), and the service keys its in-flight
-  /// queries by this id — per-server counters would collide.
-  static std::atomic<uint64_t> next_service_id_;
+  /// Service-side query ids (see Connection::inflight).
+  std::atomic<uint64_t> next_service_id_{1};
 
   std::mutex mu_;
   std::condition_variable shutdown_cv_;

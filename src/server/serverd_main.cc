@@ -20,18 +20,10 @@
 //               --shard=127.0.0.1:4642 --shard=127.0.0.1:4643
 //
 // Replication: `--replication=k` backs the shard's DFS with k replica
-// stores (failover reads), and `--replica-port=P` serves
-// the same shard on a second wire endpoint. Handing those endpoints to the
-// coordinator (`--replica=...`, one per shard, in --shard order) arms its
-// one-shot replica retry for read sub-queries:
-//
-//   dgf_serverd --port=4642 --replica-port=5642 --replication=2 ... &
-//   dgf_serverd --port=4643 --replica-port=5643 --replication=2 ... &
-//   dgf_serverd --coordinator --port=4641 --cuts=15677
-//               --shard=127.0.0.1:4642 --shard=127.0.0.1:4643
-//               --replica=127.0.0.1:5642 --replica=127.0.0.1:5643
-//   dgf_cli --port=4642 shutdown      # primary endpoint dies; the daemon
-//                                     # keeps serving the replica endpoint
+// stores, each 512 B chunk checksummed, and reads fail over between them —
+// the shard survives a lost store or disk. It does not survive its own
+// process dying: the coordinator then fails the shard's queries Unavailable
+// until the daemon is restarted, and a restart rebuilds the demo world.
 //
 // Observability: `--http-port=P` (0 = ephemeral, printed at startup) serves
 // GET /metrics (Prometheus text), /stats (JSON), /trace (recent query
@@ -82,9 +74,6 @@ struct Flags {
   /// DFS replication factor of the served world (k replica stores with
   /// failover reads; every k checksums each 512 B chunk).
   int replication = 1;
-  /// > 0: also serve the same QueryService on this second port (the shard's
-  /// replica endpoint a coordinator can fail reads over to).
-  int replica_port = 0;
   /// >= 0: serve the HTTP observability endpoints (/metrics, /stats, /trace,
   /// /healthz) on this port (0 picks an ephemeral one, printed at startup).
   /// < 0 (default): no HTTP exporter.
@@ -92,8 +81,6 @@ struct Flags {
   bool coordinator = false;
   std::vector<coord::ShardEndpoint> shards;
   std::vector<int64_t> cuts;
-  /// Coordinator mode: optional replica endpoint per shard, in --shard order.
-  std::vector<coord::ShardEndpoint> replicas;
 };
 
 bool ParseFlag(const char* arg, const char* name, std::string* value) {
@@ -306,34 +293,11 @@ int RunServer(const Flags& flags) {
   server_options.service = &service;
   server_options.unix_path = flags.unix_path;
   server_options.port = flags.port;
-  // With a replica endpoint the two servers share this QueryService, so a
-  // SHUTDOWN sent to one endpoint closes just that endpoint — the daemon
-  // keeps answering on the other (that is the survivability demo: kill the
-  // primary, reads keep flowing via the coordinator's replica retry) and
-  // exits, draining, once every endpoint has been told to shut down.
-  server_options.drain_service_on_shutdown = flags.replica_port <= 0;
   auto server = Server::Start(server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "dgf_serverd: %s\n",
                  server.status().ToString().c_str());
     return 1;
-  }
-  // The replica endpoint serves the same QueryService over a second
-  // listener; a coordinator given it can fail read sub-queries over when
-  // the primary endpoint dies.
-  std::unique_ptr<Server> replica_server;
-  if (flags.replica_port > 0) {
-    Server::Options replica_options;
-    replica_options.service = &service;
-    replica_options.port = flags.replica_port;
-    replica_options.drain_service_on_shutdown = false;
-    auto replica = Server::Start(replica_options);
-    if (!replica.ok()) {
-      std::fprintf(stderr, "dgf_serverd: replica endpoint: %s\n",
-                   replica.status().ToString().c_str());
-      return 1;
-    }
-    replica_server = std::move(*replica);
   }
   if (flags.unix_path.empty()) {
     std::printf("dgf_serverd: serving %s (%lld rows) on 127.0.0.1:%d\n",
@@ -346,25 +310,9 @@ int RunServer(const Flags& flags) {
                 static_cast<long long>((*world)->config.TotalRows()),
                 flags.unix_path.c_str());
   }
-  if (replica_server != nullptr) {
-    std::printf("dgf_serverd: replica endpoint on 127.0.0.1:%d "
-                "(dfs replication=%d)\n",
-                replica_server->port(), flags.replication);
-  }
   std::fflush(stdout);
   (*server)->WaitShutdown();
   (*server)->Shutdown();
-  if (replica_server != nullptr) {
-    std::printf("dgf_serverd: primary endpoint closed; still serving the "
-                "replica endpoint\n");
-    std::fflush(stdout);
-    replica_server->WaitShutdown();
-    replica_server->Shutdown();
-    // Shared-service endpoints do not drain on shutdown; the daemon drains
-    // once, here, after the last endpoint is down.
-    service.BeginDrain();
-    service.Drain();
-  }
   std::printf("dgf_serverd: drained, bye\n");
   return 0;
 }
@@ -389,19 +337,10 @@ int RunCoordinator(const Flags& flags) {
   workload::MeterConfig config;
   config.extra_metrics = 2;  // the demo world's schema shape
 
-  if (!flags.replicas.empty() &&
-      flags.replicas.size() != flags.shards.size()) {
-    std::fprintf(stderr,
-                 "dgf_serverd: --replica list must match --shard list "
-                 "(%zu shards, %zu replicas; order pairs them up)\n",
-                 flags.shards.size(), flags.replicas.size());
-    return 2;
-  }
   coord::Coordinator::Options options;
   options.shard_map =
       coord::ShardMap::ByCuts("time", table::DataType::kDate, flags.cuts);
   options.shards = flags.shards;
-  options.replicas = flags.replicas;
   options.max_concurrent = flags.max_concurrent;
   options.max_pending = flags.max_pending;
   options.metrics = obs::MetricsRegistry::Default();
@@ -478,13 +417,6 @@ int Main(int argc, char** argv) {
         return 2;
       }
       flags.shards.push_back(std::move(endpoint));
-    } else if (ParseFlag(argv[i], "--replica", &value)) {
-      coord::ShardEndpoint endpoint;
-      if (!ParseEndpoint(value, &endpoint)) {
-        std::fprintf(stderr, "bad --replica endpoint: %s\n", value.c_str());
-        return 2;
-      }
-      flags.replicas.push_back(std::move(endpoint));
     } else if (ParseFlag(argv[i], "--cuts", &value)) {
       const char* p = value.c_str();
       while (*p != '\0') {
@@ -515,8 +447,6 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "bad --replication factor: %s\n", value.c_str());
         return 2;
       }
-    } else if (ParseFlag(argv[i], "--replica-port", &value)) {
-      flags.replica_port = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--http-port", &value)) {
       flags.http_port = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--max-concurrent", &value)) {

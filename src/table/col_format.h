@@ -124,7 +124,9 @@ using ZoneMapPredicate = std::vector<ZoneMapRange>;
 /// group) is treated as speculative: if its group header fails to parse or
 /// checksum, the scan resumes past the false marker instead of reporting
 /// Corruption — this is what lets a split reader start its sync scan inside
-/// such a payload and still find the real next group.
+/// such a payload and still find the real next group. At a confirmed
+/// boundary inside the split, anything but the whole marker is Corruption
+/// (a scan past a damaged marker would silently drop its group).
 ///
 /// With `SetZoneMapFilter`, the reader walks each group's block headers
 /// first (cheap: a few dozen bytes per column) and, if any filtered column's

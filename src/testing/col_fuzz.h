@@ -13,10 +13,10 @@ namespace dgf::testing {
 /// columnar file (shape and data randomized so plain, dict+RLE, delta, and
 /// fixed64 blocks are all hit) and then attacks it one of three ways:
 ///
-///   - bit flips inside a group body (sync markers excluded): every byte
-///     after a marker is CRC-covered, so the reader must fail with
-///     Corruption, and any rows yielded before the error must be a prefix of
-///     the pristine rows;
+///   - bit flips at any byte: each sync marker sits at a confirmed group
+///     boundary, where the reader checks it whole, and every other byte is
+///     CRC-covered, so the reader must fail with Corruption, and any rows
+///     yielded before the error must be a prefix of the pristine rows;
 ///   - truncation at a random byte: the reader must yield a prefix of the
 ///     pristine rows, with either a clean end (cut on a group boundary) or a
 ///     Corruption error — never invented rows;

@@ -36,9 +36,9 @@
 //                                        the wire codec and a live server
 //   dgf_difftest --node-crash-sweep --seed=N [--seeds=K] [--shards=S]
 //                                        kill-a-node sweep: replicated 2/4-
-//                                        shard clusters lose a replica store,
-//                                        a primary server, and a whole shard
-//                                        daemon at seed-derived points; every
+//                                        shard clusters lose a replica store
+//                                        and a whole shard daemon at
+//                                        seed-derived points; every
 //                                        query must still match the oracle
 //                                        and recovered state the acked prefix
 //   dgf_difftest --duration=SECONDS      open-ended soak over rolling seeds
@@ -325,10 +325,8 @@ bool RunNodeCrash(const NodeCrashSweepOptions& options) {
             std::to_string(report->seeds_run) + " clusters=" +
             std::to_string(report->clusters_run) + " queries=" +
             std::to_string(report->queries_run) + " kills=" +
-            std::to_string(report->store_kills + report->primary_kills +
-                           report->daemon_kills) +
+            std::to_string(report->store_kills + report->daemon_kills) +
             " failovers=" + std::to_string(report->read_failovers) +
-            " replica_retries=" + std::to_string(report->replica_retries) +
             " recoveries=" + std::to_string(report->recoveries_checked) +
             " divergences=" + std::to_string(report->divergences.size()));
   for (const auto& divergence : report->divergences) {

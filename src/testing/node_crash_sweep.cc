@@ -41,30 +41,6 @@ std::string NodeCrashRepro(uint64_t seed, int shards) {
          " --seeds=1 --shards=" + std::to_string(shards);
 }
 
-double StatValue(const std::vector<std::pair<std::string, double>>& stats,
-                 const std::string& name) {
-  for (const auto& [key, value] : stats) {
-    if (key == name) return value;
-  }
-  return -1;
-}
-
-/// Queries `sql` through the front server and returns the single
-/// (count, sum) row it must produce.
-Result<std::pair<int64_t, double>> CountSumProbe(server::ServerClient* client,
-                                                 const std::string& sql) {
-  DGF_ASSIGN_OR_RETURN(server::Response response, client->Query(sql));
-  if (!response.ok()) return server::ResponseStatus(response);
-  DGF_ASSIGN_OR_RETURN(query::QueryResult result,
-                       ResultFromPayload(response.result));
-  if (result.rows.size() != 1 || result.rows[0].size() != 2) {
-    return Status::Internal("probe did not return one (count, sum) row: " +
-                            sql);
-  }
-  return std::make_pair(result.rows[0][0].int64(),
-                        result.rows[0][1].AsDouble());
-}
-
 Status CheckCountSum(const std::pair<int64_t, double>& got,
                      int64_t expected_count, double expected_sum,
                      const std::string& what) {
@@ -108,22 +84,12 @@ Result<NodeCrashSweepReport> RunNodeCrashSweep(
       cases.push_back(Case{case_id, std::move(q), std::move(oracle)});
     }
 
-    // Whole-table baseline, for probes that run after marker appends have
-    // made the per-case oracles stale.
-    DGF_ASSIGN_OR_RETURN(query::Query base_probe,
-                         query::ParseQuery(kCountSumSql, schema));
-    DGF_ASSIGN_OR_RETURN(query::QueryResult base_oracle,
-                         world.Oracle(base_probe));
-    const int64_t base_count = base_oracle.rows[0][0].int64();
-    const double base_sum = base_oracle.rows[0][1].AsDouble();
-
     for (int requested : shard_counts) {
       ShardedCluster::Options cluster_options;
       cluster_options.config = config;
       cluster_options.dims = world.dims();
       cluster_options.num_shards = requested;
       cluster_options.replication = 2;
-      cluster_options.replica_servers = true;
       cluster_options.use_lsm = true;
       DGF_ASSIGN_OR_RETURN(auto cluster,
                            ShardedCluster::Start(cluster_options));
@@ -248,10 +214,12 @@ Result<NodeCrashSweepReport> RunNodeCrashSweep(
         run_case(cases[i], "repaired");
       }
 
-      // --- Stage 3: acknowledged cross-shard marker append (riding each
-      // shard's replicated WAL), then a shard's primary server dies. Reads
-      // must keep answering exactly through the coordinator's one-shot
-      // replica retry — and the retry counters must show it happened.
+      // --- Stage 3: an acknowledged cross-shard marker append (riding each
+      // shard's replicated WAL), then one shard's whole daemon dies, and one
+      // replica store's directory is wiped on disk. Reopening the survivor
+      // cold (DFS → re-replication → LsmKv WAL/MANIFEST replay → DGF index →
+      // executor) must reproduce exactly the acknowledged prefix for that
+      // shard.
       const MarkerBatch batch =
           MakeMarkerBatch(config, /*rows=*/3 * config.num_days);
       const Status appended =
@@ -264,48 +232,6 @@ Result<NodeCrashSweepReport> RunNodeCrashSweep(
 
       const int downed_shard = static_cast<int>(
           NextRand(rng) % static_cast<uint64_t>(num_shards));
-      const double retries_before = StatValue(
-          cluster->coordinator()->StatsSnapshot(), "coord.replica_successes");
-      cluster->KillShardPrimary(downed_shard);
-      ++report.primary_kills;
-
-      const std::string marker_sql =
-          std::string(kCountSumSql) +
-          " WHERE userId >= " + std::to_string(config.num_users);
-      auto marker_probe = CountSumProbe(client.get(), marker_sql);
-      if (!marker_probe.ok()) {
-        diverge("primary-down", marker_sql, marker_probe.status().ToString());
-      } else {
-        const Status check =
-            CheckCountSum(*marker_probe, batch.expected_count,
-                          batch.expected_sum, "marker probe");
-        if (!check.ok()) diverge("primary-down", marker_sql, check.ToString());
-      }
-      auto table_probe = CountSumProbe(client.get(), kCountSumSql);
-      if (!table_probe.ok()) {
-        diverge("primary-down", kCountSumSql,
-                table_probe.status().ToString());
-      } else {
-        const Status check = CheckCountSum(
-            *table_probe, base_count + batch.expected_count,
-            base_sum + batch.expected_sum, "whole-table probe");
-        if (!check.ok()) diverge("primary-down", kCountSumSql,
-                                 check.ToString());
-      }
-      const double retries_after = StatValue(
-          cluster->coordinator()->StatsSnapshot(), "coord.replica_successes");
-      if (retries_after <= retries_before) {
-        diverge("primary-down", "coord.replica_successes",
-                "primary was down but no replica retry succeeded");
-      } else {
-        report.replica_retries +=
-            static_cast<uint64_t>(retries_after - retries_before);
-      }
-
-      // --- Stage 4: the whole shard daemon dies, and one replica store's
-      // directory is wiped on disk. Reopening the survivor cold (DFS →
-      // re-replication → LsmKv WAL/MANIFEST replay → DGF index → executor)
-      // must reproduce exactly the acknowledged prefix for that shard.
       cluster->KillShardDaemon(downed_shard);
       ++report.daemon_kills;
 

@@ -11,20 +11,22 @@ namespace dgf::testing {
 
 /// Kill-a-node survivability sweep: every seeded world is served by
 /// replicated 2- and 4-shard clusters (replication=2 MiniDfs per shard,
-/// LsmKv so the metadata/epoch log rides DFS replication, and a replica
-/// wire endpoint per shard arming the coordinator's one-shot read retry),
-/// and nodes die at seed-derived points while the paper-template queries
-/// must keep matching the single-node oracle exactly:
+/// LsmKv so the metadata/epoch log rides DFS replication), and nodes die at
+/// seed-derived points while the paper-template queries must keep matching
+/// the single-node oracle exactly:
 ///
 ///  1. a replica *store* dies mid-case-stream (process kill: data intact,
-///     reads fail over; then disk wipe: reads route around the lost copy,
-///     `ReReplicate()` repairs it and `VerifyReplicas` proves the copies);
-///  2. a shard's *primary server* dies after an acknowledged cross-shard
-///     marker append — reads keep working through the coordinator's replica
-///     retry, and the replica-retry counters must show it;
-///  3. that shard's whole *daemon* dies; its on-disk state (minus one
-///     replica store, wiped to model disk loss) is reopened cold — DFS,
-///     LsmKv, DGF index, executor — and must equal the acknowledged prefix.
+///     reads fail over); then its disk is wiped: reads route around the
+///     lost copy, `ReReplicate()` repairs it and `VerifyReplicas` proves the
+///     copies;
+///  2. after an acknowledged cross-shard marker append, a shard's whole
+///     *daemon* dies; its on-disk state (minus one replica store, wiped to
+///     model disk loss) is reopened cold — DFS, LsmKv, DGF index, executor —
+///     and must equal the acknowledged prefix.
+///
+/// Redundancy here is MiniDfs replication only: a dead shard process fails
+/// the coordinator's queries Unavailable (coord_test covers that), it does
+/// not fail over.
 struct NodeCrashSweepOptions {
   uint64_t seed = 1;
   /// Worlds swept: seeds [seed, seed + count).
@@ -40,15 +42,12 @@ struct NodeCrashSweepReport {
   int clusters_run = 0;
   int queries_run = 0;
   int store_kills = 0;
-  int primary_kills = 0;
   int daemon_kills = 0;
   int recoveries_checked = 0;
   /// Replicas repaired by ReReplicate across the sweep (wipe scenarios).
   uint64_t replicas_repaired = 0;
   /// Failover reads observed on killed-store shards across the sweep.
   uint64_t read_failovers = 0;
-  /// Coordinator replica retries observed across the sweep.
-  uint64_t replica_retries = 0;
   std::vector<Divergence> divergences;
 
   bool ok() const { return divergences.empty(); }

@@ -41,9 +41,6 @@ struct ShardedCluster::Shard {
   std::unique_ptr<core::DgfIndex> dgf;
   std::unique_ptr<server::QueryService> service;
   std::unique_ptr<server::Server> server;
-  /// Second wire server over the same service: the replica endpoint the
-  /// coordinator retries reads on when `server` dies.
-  std::unique_ptr<server::Server> replica_server;
 };
 
 Result<std::unique_ptr<ShardedCluster>> ShardedCluster::Start(
@@ -57,7 +54,6 @@ Result<std::unique_ptr<ShardedCluster>> ShardedCluster::Start(
 
   static std::atomic<int> counter{0};
   std::vector<coord::ShardEndpoint> endpoints;
-  std::vector<coord::ShardEndpoint> replica_endpoints;
   for (int shard = 0; shard < num_shards; ++shard) {
     auto s = std::make_unique<Shard>();
     std::filesystem::path dir =
@@ -129,34 +125,18 @@ Result<std::unique_ptr<ShardedCluster>> ShardedCluster::Start(
     server::Server::Options server_options;
     server_options.service = s->service.get();
     server_options.port = 0;
-    // With a replica endpoint over the same service, killing the primary
-    // must not mark the shared service draining (the replica keeps serving).
-    server_options.drain_service_on_shutdown = !options.replica_servers;
     DGF_ASSIGN_OR_RETURN(s->server,
                          server::Server::Start(server_options));
     coord::ShardEndpoint endpoint;
     endpoint.host = "127.0.0.1";
     endpoint.port = s->server->port();
     endpoints.push_back(std::move(endpoint));
-    if (options.replica_servers) {
-      server::Server::Options replica_options;
-      replica_options.service = s->service.get();
-      replica_options.port = 0;
-      replica_options.drain_service_on_shutdown = false;
-      DGF_ASSIGN_OR_RETURN(s->replica_server,
-                           server::Server::Start(replica_options));
-      coord::ShardEndpoint replica_endpoint;
-      replica_endpoint.host = "127.0.0.1";
-      replica_endpoint.port = s->replica_server->port();
-      replica_endpoints.push_back(std::move(replica_endpoint));
-    }
     cluster->shards_.push_back(std::move(s));
   }
 
   coord::Coordinator::Options coord_options;
   coord_options.shard_map = cluster->shard_map_;
   coord_options.shards = std::move(endpoints);
-  coord_options.replicas = std::move(replica_endpoints);
   coord_options.max_concurrent = options.max_concurrent;
   coord_options.max_pending = options.max_pending;
   coord_options.connect_timeout_seconds = options.connect_timeout_seconds;
@@ -192,10 +172,6 @@ server::Server* ShardedCluster::shard_server(int i) {
   return shards_[static_cast<size_t>(i)]->server.get();
 }
 
-server::Server* ShardedCluster::shard_replica_server(int i) {
-  return shards_[static_cast<size_t>(i)]->replica_server.get();
-}
-
 server::QueryService* ShardedCluster::shard_service(int i) {
   return shards_[static_cast<size_t>(i)]->service.get();
 }
@@ -212,15 +188,9 @@ const table::TableDesc& ShardedCluster::meter_desc() const {
   return shards_.front()->meter;
 }
 
-void ShardedCluster::KillShardPrimary(int i) {
-  shards_[static_cast<size_t>(i)]->server->Shutdown();
-}
-
 void ShardedCluster::KillShardDaemon(int i) {
   Shard& s = *shards_[static_cast<size_t>(i)];
   if (s.server != nullptr) s.server->Shutdown();
-  if (s.replica_server != nullptr) s.replica_server->Shutdown();
-  s.replica_server.reset();
   s.server.reset();
   s.service.reset();
   s.dgf.reset();

@@ -40,10 +40,6 @@ class ShardedCluster {
     /// with failover reads (1 = one checksummed copy, nothing to fail over
     /// to).
     int replication = 1;
-    /// Start a second wire server per shard over the same QueryService (the
-    /// shard's replica endpoint) and hand those endpoints to the
-    /// coordinator, arming its one-shot read retry.
-    bool replica_servers = false;
     /// Back each shard with LsmKv (WAL + SSTable runs through the shard's
     /// MiniDfs, so the metadata/epoch log rides DFS replication) instead of
     /// MemKv — required for kill-and-reopen recovery checks to be real.
@@ -66,8 +62,6 @@ class ShardedCluster {
   /// The coordinator-fronting server clients talk to.
   server::Server* front() { return front_.get(); }
   server::Server* shard_server(int i);
-  /// The shard's replica wire server (null unless Options::replica_servers).
-  server::Server* shard_replica_server(int i);
   server::QueryService* shard_service(int i);
   const std::shared_ptr<fs::MiniDfs>& shard_dfs(int i);
   /// Local filesystem directory backing shard i's DFS (survives daemon
@@ -76,13 +70,9 @@ class ShardedCluster {
   /// The grid policy / table descriptor every shard shares.
   const table::TableDesc& meter_desc() const;
 
-  /// Abruptly stops shard i's primary server. The replica server (if any)
-  /// keeps serving the same QueryService, so coordinator reads survive via
-  /// its one-shot replica retry; appends to the shard fail Unavailable.
-  void KillShardPrimary(int i);
-  /// Stops every server of shard i and tears down its service, index, KV
-  /// store, and DFS handle, leaving only the on-disk state — the sweep then
-  /// reopens that state to check recovery equals the acknowledged prefix.
+  /// Stops shard i's server and tears down its service, index, KV store,
+  /// and DFS handle, leaving only the on-disk state — the sweep then reopens
+  /// that state to check recovery equals the acknowledged prefix.
   void KillShardDaemon(int i);
 
   Result<std::unique_ptr<server::ServerClient>> Connect() const;

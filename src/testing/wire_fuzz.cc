@@ -115,7 +115,7 @@ std::vector<std::string> BuildCorpus() {
     r.request_id = 10;
     r.stats = {{"queries.admitted", 12.0},
                {"queries.in_flight", 1.0},
-               {"latency.p99_ms", 42.5}};
+               {"latency.p99", 42.5}};
     corpus.push_back(server::EncodeResponse(r));
   }
   for (const server::Opcode opcode :

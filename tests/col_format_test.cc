@@ -1,8 +1,8 @@
 // Columnar slice format: round-trips across every encoding, projection,
 // GFU-style flush boundaries, determinism, zone-map skipping (property test
 // vs a manually filtered full scan + a decode-counter proof that
-// out-of-range blocks are never decoded), CRC corruption detection, and
-// truncation behaviour.
+// out-of-range blocks are never decoded), CRC corruption detection, damaged
+// sync markers, and truncation behaviour.
 
 #include <gtest/gtest.h>
 
@@ -575,6 +575,54 @@ TEST(ColFormatTest, SplitScanRecoversFromMarkerBytesInsidePayload) {
   ASSERT_EQ(got.size(), 64u);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(RowText(got[i]), RowText(rows[32 + i])) << "row " << i;
+  }
+}
+
+// A damaged sync marker at a confirmed group boundary must fail the read,
+// not send the sync scan on to the next group and drop this one's rows. The
+// damage is written through the DFS, so its chunk CRCs vouch for it (as
+// for damage sealed in before a reopen).
+TEST(ColFormatTest, DamagedSyncMarkerIsCorruptionNotADroppedGroup) {
+  ScopedDfs dfs("col_bad_sync");
+  const auto rows = MakeRows(30, 12);
+  ASSERT_OK_AND_ASSIGN(std::string path,
+                       WriteColFile(dfs.get(), "/t.col", rows, 10));
+  const uint64_t len = FileLength(dfs.get(), path);
+  std::string bytes;
+  {
+    ASSERT_OK_AND_ASSIGN(auto src, dfs->OpenForRead(path));
+    ASSERT_OK(src->Pread(0, len, &bytes));
+  }
+  const std::string marker(kColSyncMarker, sizeof(kColSyncMarker));
+  std::vector<size_t> marker_at;
+  for (size_t at = bytes.find(marker); at != std::string::npos;
+       at = bytes.find(marker, at + 1)) {
+    marker_at.push_back(at);
+  }
+  ASSERT_EQ(marker_at.size(), 3u);
+  for (size_t group = 0; group < marker_at.size(); ++group) {
+    for (size_t i = 0; i < marker.size(); ++i) {
+      std::string damaged = bytes;
+      damaged[marker_at[group] + i] ^= 0x01;
+      const std::string copy = "/bad_sync.col";
+      if (dfs->ListFiles(copy).size() > 0) ASSERT_OK(dfs->Delete(copy));
+      {
+        ASSERT_OK_AND_ASSIGN(auto dst, dfs->Create(copy));
+        ASSERT_OK(dst->Append(damaged));
+        ASSERT_OK(dst->Close());
+      }
+      ASSERT_OK_AND_ASSIGN(
+          auto reader,
+          ColSplitReader::Open(dfs.get(), fs::FileSplit{copy, 0, len},
+                               MeterSchema()));
+      auto got = ReadAll(reader.get());
+      ASSERT_FALSE(got.ok()) << "group " << group << " byte " << i
+                             << ": read " << got->size() << " of "
+                             << rows.size() << " rows with status OK";
+      EXPECT_TRUE(got.status().IsCorruption())
+          << "group " << group << " byte " << i << ": "
+          << got.status().ToString();
+    }
   }
 }
 

@@ -368,6 +368,16 @@ TEST(CoordinatorTest, ShardKilledMidQueryYieldsUnavailableNotPartialRows) {
   auto after = (*client)->Query("SELECT count(*) FROM meterdata");
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_TRUE(server::ResponseStatus(*after).IsUnavailable());
+  // Appends are single-homed: a batch with rows routed to the dead shard
+  // (a marker batch covering every day crosses every band) fails
+  // Unavailable too.
+  const workload::MeterConfig& config = fixture->world->config();
+  const auto batch =
+      dgf::testing::MakeMarkerBatch(config, /*rows=*/2 * config.num_days);
+  auto append = (*client)->Append("meterdata", batch.lines);
+  ASSERT_TRUE(append.ok()) << append.status().ToString();
+  const Status append_status = server::ResponseStatus(*append);
+  EXPECT_TRUE(append_status.IsUnavailable()) << append_status.ToString();
   auto ping = (*client)->Ping();
   ASSERT_TRUE(ping.ok()) << ping.status().ToString();
   EXPECT_TRUE(ping->ok());

@@ -166,9 +166,18 @@ TEST(MiniDfsTest, ReopenRecoversNamespace) {
   ASSERT_OK(writer->Close());
 
   // A second MiniDfs over the same root must see the file.
-  fs::MiniDfs::Options options;
-  ASSERT_OK_AND_ASSIGN(auto st, dfs->Stat("/keep/me"));
-  (void)st;
+  MiniDfs::Options options;
+  options.root_dir = dfs.dir().string();
+  ASSERT_OK_AND_ASSIGN(auto reopened, MiniDfs::Open(options));
+  ASSERT_OK_AND_ASSIGN(auto st, reopened->Stat("/keep/me"));
+  EXPECT_EQ(st.length, 3u);
+  const std::vector<FileStatus> listed = reopened->ListFiles("/keep/");
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0].path, "/keep/me");
+  ASSERT_OK_AND_ASSIGN(auto reader, reopened->OpenForRead("/keep/me"));
+  std::string out;
+  ASSERT_OK(reader->Pread(0, 3, &out));
+  EXPECT_EQ(out, "xyz");
 }
 
 // Replication 1 is the replicated path with one store: the copy lives in

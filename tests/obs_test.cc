@@ -237,27 +237,6 @@ TEST(RenderTest, JsonIsFlatAndQuoted) {
   EXPECT_NE(json.find("\"c\""), std::string::npos) << json;
 }
 
-TEST(RenderTest, StatsFromRegistryKeepsLegacyAliases) {
-  MetricsRegistry registry;
-  registry.GetCounter("cache.hits")->Increment(3);
-  registry.GetCounter("cache.misses")->Increment(1);
-  Histogram* latency = registry.GetHistogram("latency");
-  for (int i = 0; i < 8; ++i) latency->Observe(0.010);
-
-  const auto stats = server::StatsFromRegistry(&registry);
-  double hit_rate = -1, samples = -1, p50_ms = -1;
-  for (const auto& [name, value] : stats) {
-    if (name == "cache.hit_rate") hit_rate = value;
-    if (name == "latency.samples") samples = value;
-    if (name == "latency.p50_ms") p50_ms = value;
-  }
-  EXPECT_DOUBLE_EQ(hit_rate, 0.75);
-  EXPECT_DOUBLE_EQ(samples, 8.0);
-  // 10ms observations: the alias is in milliseconds, within a bucket width.
-  EXPECT_GE(p50_ms, 10.0 / std::sqrt(2.0) - 0.1);
-  EXPECT_LE(p50_ms, 10.0 * std::sqrt(2.0) + 0.1);
-}
-
 // ---------------------------------------------------------------------------
 // Trace log.
 

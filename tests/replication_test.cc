@@ -1,45 +1,30 @@
 // Replication and failover suite: k-way replica placement invariants,
 // replica-failover reads under injected faults / checksum corruption /
-// degraded clusters, re-replication repair, and the coordinator's one-shot
-// replica retry for read sub-queries (including a primary killed provably
-// mid-query). Built as its own binary (dgf_replication_tests) so the
-// ASan/TSan stages in scripts/check.sh can run exactly this suite.
+// degraded clusters, re-replication repair, and cold-reopen recovery.
+// Built as its own binary (dgf_replication_tests) so the ASan/TSan stages
+// in scripts/check.sh can run exactly this suite.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fs/mini_dfs.h"
-#include "query/parser.h"
-#include "server/client.h"
-#include "table/table.h"
 #include "testing/corruption.h"
-#include "testing/differential.h"
-#include "testing/shard_sweep.h"
 #include "tests/test_util.h"
-#include "workload/meter_gen.h"
 
 namespace dgf {
 namespace {
 
 using ::dgf::testing::FlipReplicaByte;
-using ::dgf::testing::MakeMarkerBatch;
-using ::dgf::testing::ResultFromPayload;
 using ::dgf::testing::ScopedDfs;
-using ::dgf::testing::SeededWorld;
-using ::dgf::testing::ShardedCluster;
 
 fs::MiniDfs::Options ReplicatedOptions(int replication) {
   fs::MiniDfs::Options options;
@@ -307,155 +292,6 @@ TEST(ReplicationTest, ColdReopenRebuildsNamespaceFromSurvivingStore) {
 
   dfs.reset();
   std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator replica retry.
-
-// Deterministic brake (same pattern as coord_test): while closed, every
-// low-level DFS read on the gated shard blocks inside NextFault.
-class GateInjector : public fs::ReadFaultInjector {
- public:
-  fs::ReadFault NextFault(const std::string& path, uint64_t offset,
-                          uint64_t length) override {
-    (void)path;
-    (void)offset;
-    (void)length;
-    std::unique_lock<std::mutex> lock(mu_);
-    ++blocked_;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return open_; });
-    --blocked_;
-    return fs::ReadFault{};
-  }
-
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
-  void WaitForBlocked(int n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return blocked_ >= n || open_; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-  int blocked_ = 0;
-};
-
-double StatValue(const std::vector<std::pair<std::string, double>>& stats,
-                 const std::string& name) {
-  for (const auto& [key, value] : stats) {
-    if (key == name) return value;
-  }
-  return -1;
-}
-
-struct ReplicatedClusterFixture {
-  std::unique_ptr<SeededWorld> world;
-  std::unique_ptr<ShardedCluster> cluster;
-};
-
-Result<ReplicatedClusterFixture> StartReplicatedCluster(uint64_t seed,
-                                                        int num_shards) {
-  ReplicatedClusterFixture fixture;
-  DGF_ASSIGN_OR_RETURN(auto world, SeededWorld::Build(seed));
-  fixture.world = std::make_unique<SeededWorld>(std::move(world));
-  ShardedCluster::Options options;
-  options.config = fixture.world->config();
-  options.dims = fixture.world->dims();
-  options.num_shards = num_shards;
-  options.replication = 2;
-  options.replica_servers = true;
-  DGF_ASSIGN_OR_RETURN(fixture.cluster, ShardedCluster::Start(options));
-  return fixture;
-}
-
-TEST(ReplicationTest, CoordinatorRetriesReadOnReplicaWhenPrimaryIsDead) {
-  auto fixture = StartReplicatedCluster(/*seed=*/6, /*num_shards=*/2);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-  auto client = fixture->cluster->Connect();
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-
-  const std::string sql = "SELECT count(*) FROM meterdata";
-  auto before = (*client)->Query(sql);
-  ASSERT_TRUE(before.ok()) << before.status().ToString();
-  ASSERT_TRUE(before->ok()) << server::ResponseStatus(*before).ToString();
-
-  // Primary of shard 0 dies between queries; the next read must transparently
-  // come back identical via the shard's replica endpoint.
-  fixture->cluster->KillShardPrimary(0);
-  auto after = (*client)->Query(sql);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  ASSERT_TRUE(after->ok()) << server::ResponseStatus(*after).ToString();
-  EXPECT_EQ(after->result.rows, before->result.rows);
-
-  const auto stats = fixture->cluster->coordinator()->StatsSnapshot();
-  EXPECT_GE(StatValue(stats, "coord.replica_retries"), 1.0);
-  EXPECT_GE(StatValue(stats, "coord.replica_successes"), 1.0);
-
-  // Appends are never retried on a replica: a batch whose rows route to the
-  // dead primary fails Unavailable instead of splitting brains.
-  const auto batch = MakeMarkerBatch(fixture->world->config(), /*rows=*/6);
-  auto append = (*client)->Append("meterdata", batch.lines);
-  ASSERT_TRUE(append.ok()) << append.status().ToString();
-  const Status status = server::ResponseStatus(*append);
-  EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
-}
-
-TEST(ReplicationTest, CoordinatorRetriesOnReplicaWhenPrimaryDiesMidQuery) {
-  auto fixture = StartReplicatedCluster(/*seed=*/6, /*num_shards=*/2);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-
-  // Oracle answer for the projection every shard must contribute to.
-  const std::string sql = "SELECT userId, powerConsumed FROM meterdata";
-  auto query = query::ParseQuery(
-      sql, workload::MeterSchema(fixture->world->config()));
-  ASSERT_TRUE(query.ok()) << query.status().ToString();
-  auto oracle = fixture->world->Oracle(*query);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-
-  auto gate = std::make_shared<GateInjector>();
-  fixture->cluster->shard_dfs(1)->SetReadFaultInjector(gate);
-  auto client = fixture->cluster->Connect();
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-
-  auto id = (*client)->StartQuery(sql);
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  // Shard 1's sub-query is provably mid-scan (pinned at the gate); kill its
-  // primary out from under the coordinator. Shutdown half-closes the
-  // connection first (then blocks joining the gated worker), so the
-  // coordinator sees the death while the scan is still pinned.
-  gate->WaitForBlocked(1);
-  std::thread killer([&] { fixture->cluster->KillShardPrimary(1); });
-  // Hold the gate shut until the coordinator has provably *begun* its
-  // replica retry — only then may the (gated) retry scan proceed. Waiting
-  // on the blocked-reader count instead would race: the original
-  // sub-query's own worker threads can pin more than one read.
-  while (StatValue(fixture->cluster->coordinator()->StatsSnapshot(),
-                   "coord.replica_retries") < 1.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  gate->Open();
-  auto response = (*client)->Await(*id);
-  killer.join();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_TRUE(response->ok()) << server::ResponseStatus(*response).ToString();
-
-  // The answer is the oracle's, bit for bit — served through the failover.
-  auto merged = ResultFromPayload(response->result);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  const std::string mismatch =
-      dgf::testing::DescribeResultMismatch(*oracle, *merged);
-  EXPECT_TRUE(mismatch.empty()) << mismatch;
-
-  const auto stats = fixture->cluster->coordinator()->StatsSnapshot();
-  EXPECT_GE(StatValue(stats, "coord.replica_retries"), 1.0);
-  EXPECT_GE(StatValue(stats, "coord.replica_successes"), 1.0);
 }
 
 }  // namespace

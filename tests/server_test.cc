@@ -137,7 +137,7 @@ TEST(ServerWireTest, ErrorStatsAppendResponsesRoundTrip) {
     Response resp;
     resp.opcode = Opcode::kStats;
     resp.request_id = 2;
-    resp.stats = {{"queries.served", 12.0}, {"latency.p99_ms", 3.5}};
+    resp.stats = {{"queries.served", 12.0}, {"latency.p99", 3.5}};
     auto decoded = DecodeResponse(EncodeResponse(resp));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->stats, resp.stats);
@@ -324,7 +324,7 @@ TEST(ServerTest, QueriesMatchOracleAndStatsCount) {
   EXPECT_EQ(StatValue(*stats, "queries.served"), served);
   EXPECT_EQ(StatValue(*stats, "queries.rejected"), 0);
   EXPECT_EQ(StatValue(*stats, "queries.in_flight"), 0);
-  EXPECT_GE(StatValue(*stats, "latency.samples"), served);
+  EXPECT_GE(StatValue(*stats, "latency.count"), served);
   EXPECT_GE(StatValue(*stats, "scan.records_read"), 1);
   // A parse error is a served request with an error response, not a dropped
   // connection.
