@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "common/string_util.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "obs/metrics.h"
 #include "workload/query_gen.h"
 
@@ -50,7 +50,6 @@ void Run() {
       {"RCFile", table::FileFormat::kRcFile, {}, {}, {}, {}, 0},
       {"Columnar", table::FileFormat::kColumnar, {}, {}, {}, {}, 0}};
   for (Variant& v : variants) {
-    v.store = std::make_shared<kv::MemKv>();
     core::DgfBuilder::Options options;
     const int64_t interval = std::max<int64_t>(
         1, bench.config().num_users / IntervalCount(IntervalClass::kLarge));
@@ -61,6 +60,9 @@ void Run() {
          static_cast<double>(bench.config().start_day), 1}};
     options.precompute = {"sum(powerConsumed)", "count(*)"};
     options.data_dir = std::string("/warehouse/meterdata_dgf_fmt_") + v.name;
+    v.store = CheckOk(
+        kv::LsmKv::Open({.dfs = bench.dfs(), .dir = "/kv" + options.data_dir}),
+        "open store");
     options.data_format = v.format;
     options.job.cluster = bench.options().cluster;
     options.job.worker_threads = bench.options().worker_threads;

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "workload/query_gen.h"
 
 namespace dgf::bench {
@@ -26,7 +26,6 @@ void Run() {
   auto with_exec = bench.MakeDgfExecutor(IntervalClass::kMedium);
 
   // Twin index without precomputed headers.
-  auto store = std::make_shared<kv::MemKv>();
   core::DgfBuilder::Options options;
   const int64_t interval = std::max<int64_t>(
       1, bench.config().num_users / IntervalCount(IntervalClass::kMedium));
@@ -36,6 +35,9 @@ void Run() {
       {"time", table::DataType::kDate,
        static_cast<double>(bench.config().start_day), 1}};
   options.data_dir = "/warehouse/meterdata_dgf_nopre";
+  std::shared_ptr<kv::KvStore> store = CheckOk(
+      kv::LsmKv::Open({.dfs = bench.dfs(), .dir = "/kv" + options.data_dir}),
+      "open store");
   auto nopre = CheckOk(
       core::DgfBuilder::Build(bench.dfs(), store, bench.meter(), options),
       "build nopre");

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "workload/query_gen.h"
 
 namespace dgf::bench {
@@ -43,7 +43,6 @@ void Run() {
 
     // Build a twin index with no precomputed UDFs: every query takes the
     // non-aggregation (slice scan) path.
-    auto store = std::make_shared<kv::MemKv>();
     core::DgfBuilder::Options options;
     const int64_t interval =
         std::max<int64_t>(1, bench.config().num_users / IntervalCount(c));
@@ -54,6 +53,9 @@ void Run() {
          static_cast<double>(bench.config().start_day), 1}};
     options.data_dir =
         std::string("/warehouse/meterdata_dgf_nopre_") + IntervalClassName(c);
+    std::shared_ptr<kv::KvStore> store = CheckOk(
+        kv::LsmKv::Open({.dfs = bench.dfs(), .dir = "/kv" + options.data_dir}),
+        "open store");
     auto nopre_index = CheckOk(
         core::DgfBuilder::Build(bench.dfs(), store, bench.meter(), options),
         "build nopre");

@@ -27,7 +27,6 @@
 #include "exec/cluster.h"
 #include "hadoopdb/btree.h"
 #include "kv/lsm_kv.h"
-#include "kv/mem_kv.h"
 #include "query/predicate.h"
 #include "table/schema.h"
 #include "table/value.h"
@@ -67,35 +66,6 @@ void BM_CellStandardization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellStandardization);
-
-void BM_MemKvPut(benchmark::State& state) {
-  kv::MemKv store;
-  Random rng(2);
-  std::string value(64, 'v');
-  int64_t i = 0;
-  for (auto _ : state) {
-    std::string key;
-    PutOrderedInt64(&key, i++);
-    benchmark::DoNotOptimize(store.Put(key, value));
-  }
-}
-BENCHMARK(BM_MemKvPut);
-
-void BM_MemKvGet(benchmark::State& state) {
-  kv::MemKv store;
-  for (int64_t i = 0; i < 10000; ++i) {
-    std::string key;
-    PutOrderedInt64(&key, i);
-    (void)store.Put(key, "value");
-  }
-  Random rng(3);
-  for (auto _ : state) {
-    std::string key;
-    PutOrderedInt64(&key, rng.UniformRange(0, 9999));
-    benchmark::DoNotOptimize(store.Get(key));
-  }
-}
-BENCHMARK(BM_MemKvGet);
 
 void BM_BTreeInsert(benchmark::State& state) {
   hadoopdb::BTree tree;
@@ -394,7 +364,6 @@ BENCHMARK(BM_SliceScanCoalescedMT)->ThreadRange(1, 8)->UseRealTime();
 core::DgfIndex* ColDgf() {
   static std::unique_ptr<core::DgfIndex> index = [] {
     auto& meter = Meter();
-    auto store = std::make_shared<kv::MemKv>();
     core::DgfBuilder::Options options;
     const int64_t interval = std::max<int64_t>(
         1,
@@ -406,6 +375,9 @@ core::DgfIndex* ColDgf() {
          static_cast<double>(meter.config().start_day), 1}};
     options.precompute = {"sum(powerConsumed)", "count(*)"};
     options.data_dir = "/warehouse/meterdata_dgf_col";
+    std::shared_ptr<kv::KvStore> store = bench::CheckOk(
+        kv::LsmKv::Open({.dfs = meter.dfs(), .dir = "/kv" + options.data_dir}),
+        "open store");
     options.data_format = table::FileFormat::kColumnar;
     options.job.cluster = meter.options().cluster;
     options.job.worker_threads = meter.options().worker_threads;

@@ -17,7 +17,7 @@
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 
 namespace dgf::bench {
 namespace {
@@ -38,7 +38,9 @@ double TimedBuild(MeterBench& bench, int threads, int variant) {
   options.job.worker_threads = threads;
   options.build_threads = threads;
   options.split_size = 1ULL << 20;
-  auto store = std::make_shared<kv::MemKv>();
+  std::shared_ptr<kv::KvStore> store = CheckOk(
+      kv::LsmKv::Open({.dfs = bench.dfs(), .dir = "/kv" + options.data_dir}),
+      "open store");
   Stopwatch watch;
   CheckOk(core::DgfBuilder::Build(bench.dfs(), store, bench.meter(), options)
               .status(),

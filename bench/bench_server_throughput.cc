@@ -46,7 +46,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "obs/http_exporter.h"
 #include "server/client.h"
 #include "server/query_service.h"
@@ -132,7 +132,8 @@ Result<std::unique_ptr<BenchWorld>> BuildBenchWorld(const Flags& flags) {
   };
   build.precompute = {"sum(powerConsumed)", "count(*)"};
   build.data_dir = "/warehouse/dgf";
-  world->store = std::make_shared<kv::MemKv>();
+  DGF_ASSIGN_OR_RETURN(world->store, kv::LsmKv::Open({.dfs = world->dfs,
+                                                      .dir = "/index/meter"}));
   DGF_ASSIGN_OR_RETURN(world->dgf,
                        core::DgfBuilder::Build(world->dfs, world->store,
                                                world->meter, build));

@@ -15,7 +15,7 @@
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 
 namespace dgf::bench {
 namespace {
@@ -111,7 +111,9 @@ void RunParallelBuild(MeterBench& bench) {
     options.build_threads = threads;
     // Small splits so the shard phase has enough tasks to spread.
     options.split_size = 1ULL << 20;
-    auto store = std::make_shared<kv::MemKv>();
+    std::shared_ptr<kv::KvStore> store = CheckOk(
+        kv::LsmKv::Open({.dfs = bench.dfs(), .dir = "/kv" + options.data_dir}),
+        "open store");
     exec::JobResult result;
     Stopwatch watch;
     auto index = CheckOk(core::DgfBuilder::Build(bench.dfs(), store,

@@ -6,7 +6,7 @@
 #include <filesystem>
 
 #include "common/string_util.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "table/rc_format.h"
 
 namespace dgf::bench {
@@ -133,7 +133,6 @@ MeterBench::~MeterBench() {
 core::DgfIndex* MeterBench::Dgf(IntervalClass c, exec::JobResult* build_stats) {
   auto& handle = dgf_[static_cast<int>(c)];
   if (handle.index != nullptr) return handle.index.get();
-  handle.store = std::make_shared<kv::MemKv>();
   core::DgfBuilder::Options options;
   const int64_t interval =
       std::max<int64_t>(1, options_.config.num_users / IntervalCount(c));
@@ -145,6 +144,9 @@ core::DgfIndex* MeterBench::Dgf(IntervalClass c, exec::JobResult* build_stats) {
   options.precompute = {"sum(powerConsumed)", "count(*)"};
   options.data_dir =
       std::string("/warehouse/meterdata_dgf_") + IntervalClassName(c);
+  handle.store =
+      CheckOk(kv::LsmKv::Open({.dfs = dfs_, .dir = "/kv" + options.data_dir}),
+              "open store");
   options.job.cluster = options_.cluster;
   options.job.worker_threads = options_.worker_threads;
   exec::JobResult result;
@@ -334,7 +336,6 @@ TpchBench::~TpchBench() {
 
 core::DgfIndex* TpchBench::Dgf(exec::JobResult* build_stats) {
   if (dgf_ == nullptr) {
-    dgf_store_ = std::make_shared<kv::MemKv>();
     core::DgfBuilder::Options options;
     options.dims = {
         {"l_discount", table::DataType::kDouble, 0.0, 0.01},
@@ -343,6 +344,9 @@ core::DgfIndex* TpchBench::Dgf(exec::JobResult* build_stats) {
          static_cast<double>(table::DaysFromCivil(1992, 1, 1)), 100}};
     options.precompute = {"sum(l_extendedprice*l_discount)"};
     options.data_dir = "/warehouse/lineitem_dgf";
+    dgf_store_ =
+        CheckOk(kv::LsmKv::Open({.dfs = dfs_, .dir = "/kv" + options.data_dir}),
+                "open store");
     options.job.cluster = cluster_;
     options.job.worker_threads = worker_threads_;
     exec::JobResult result;

@@ -15,7 +15,7 @@
 #include "common/random.h"
 #include "dgf/dgf_builder.h"
 #include "dgf/policy_advisor.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "table/statistics.h"
 #include "query/executor.h"
 #include "table/table.h"
@@ -127,17 +127,18 @@ int main(int argc, char** argv) {
   // 3. Build recommended and naive indexes.
   const auto build_index = [&](std::vector<core::DimensionPolicy> dims,
                                const std::string& dir) {
-    auto mem = std::make_shared<kv::MemKv>();
+    std::shared_ptr<kv::KvStore> store =
+        *kv::LsmKv::Open({.dfs = dfs, .dir = "/index" + dir});
     core::DgfBuilder::Options build;
     build.dims = std::move(dims);
     build.precompute = {"sum(powerConsumed)"};
     build.data_dir = dir;
-    auto index = core::DgfBuilder::Build(dfs, mem, meter, build);
+    auto index = core::DgfBuilder::Build(dfs, store, meter, build);
     if (!index.ok()) {
       std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
       std::exit(1);
     }
-    return std::make_pair(std::move(*index), mem);
+    return std::make_pair(std::move(*index), store);
   };
 
   auto [recommended, rec_store] = build_index(rec->dims, "/warehouse/dgf_rec");

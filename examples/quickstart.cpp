@@ -11,7 +11,7 @@
 #include <filesystem>
 
 #include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "table/table.h"
@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
 
   // 3. Build the DGFIndex: grid (userId/100, regionId/1, time/1 day),
   //    precomputing sum(powerConsumed) per grid cell.
-  auto store = std::make_shared<kv::MemKv>();
+  std::shared_ptr<kv::KvStore> store =
+      *kv::LsmKv::Open({.dfs = dfs, .dir = "/index/meterdata"});
   core::DgfBuilder::Options build;
   build.dims = {{"userId", table::DataType::kInt64, 0, 100},
                 {"regionId", table::DataType::kInt64, 0, 1},

@@ -10,7 +10,7 @@
 #include <filesystem>
 
 #include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "table/table.h"
@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
                                                 config);
 
   std::printf("Building DGFIndex (userId/20, regionId/1, time/1 day)...\n");
-  auto store = std::make_shared<kv::MemKv>();
+  std::shared_ptr<kv::KvStore> store =
+      *kv::LsmKv::Open({.dfs = dfs, .dir = "/index/meterdata"});
   core::DgfBuilder::Options build;
   build.dims = {{"userId", table::DataType::kInt64, 0, 20},
                 {"regionId", table::DataType::kInt64, 0, 1},

@@ -9,7 +9,7 @@
 #include <filesystem>
 
 #include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "query/executor.h"
 #include "table/table.h"
 #include "workload/tpch_gen.h"
@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
 
   std::printf("Building DGFIndex on (l_discount/0.01, l_quantity/1, "
               "l_shipdate/100 days)...\n");
-  auto store = std::make_shared<kv::MemKv>();
+  std::shared_ptr<kv::KvStore> store =
+      *kv::LsmKv::Open({.dfs = dfs, .dir = "/index/lineitem"});
   core::DgfBuilder::Options build;
   build.dims = {{"l_discount", table::DataType::kDouble, 0.0, 0.01},
                 {"l_quantity", table::DataType::kDouble, 0.0, 1.0},

@@ -16,7 +16,7 @@
 #include <filesystem>
 
 #include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "query/parser.h"
 #include "workflow/workflow.h"
 #include "workload/meter_gen.h"
@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
   auto users = *workload::GenerateUserInfoTable(dfs, "/warehouse/userinfo",
                                                 config);
 
-  auto store = std::make_shared<kv::MemKv>();
+  std::shared_ptr<kv::KvStore> store =
+      *kv::LsmKv::Open({.dfs = dfs, .dir = "/index/meterdata"});
   core::DgfBuilder::Options build;
   build.dims = {{"userId", table::DataType::kInt64, 0, 50},
                 {"regionId", table::DataType::kInt64, 0, 1},

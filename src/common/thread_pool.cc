@@ -54,4 +54,36 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ConnectionThreads::Start(std::function<void()> handler) {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    finished.swap(finished_);
+    const uint64_t id = next_id_++;
+    // The new thread cannot look itself up before this emplace: its exit
+    // path below takes mu_ first.
+    live_.emplace(id, std::thread([this, id, handler = std::move(handler)] {
+      handler();
+      // A thread cannot join itself: hand the handle to the next joiner.
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = live_.find(id);
+      if (it == live_.end()) return;  // JoinAll already holds the handle
+      finished_.push_back(std::move(it->second));
+      live_.erase(it);
+    }));
+  }
+  for (std::thread& thread : finished) thread.join();
+}
+
+void ConnectionThreads::JoinAll() {
+  std::vector<std::thread> threads;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    threads.swap(finished_);
+    for (auto& [id, thread] : live_) threads.push_back(std::move(thread));
+    live_.clear();
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
 }  // namespace dgf

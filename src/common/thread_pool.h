@@ -2,8 +2,10 @@
 #define DGF_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -42,6 +44,33 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   int active_ = 0;
   bool stop_ = false;
+};
+
+/// The handler threads of a thread-per-connection server. A thread whose
+/// handler has returned is joined by the next Start (or by JoinAll), so a
+/// closed connection gives its stack back without waiting for the server to
+/// shut down. Not a pool: every connection still gets a thread of its own.
+class ConnectionThreads {
+ public:
+  ConnectionThreads() = default;
+  ~ConnectionThreads() { JoinAll(); }
+
+  ConnectionThreads(const ConnectionThreads&) = delete;
+  ConnectionThreads& operator=(const ConnectionThreads&) = delete;
+
+  /// Joins the threads of finished handlers, then runs `handler` on a new
+  /// thread.
+  void Start(std::function<void()> handler);
+
+  /// Joins every thread, finished or not; the caller must first make the
+  /// live handlers return (e.g. by shutting their sockets down).
+  void JoinAll();
+
+ private:
+  std::mutex mu_;
+  uint64_t next_id_ = 0;
+  std::map<uint64_t, std::thread> live_;
+  std::vector<std::thread> finished_;
 };
 
 }  // namespace dgf

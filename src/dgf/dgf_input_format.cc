@@ -84,6 +84,7 @@ Result<std::unique_ptr<table::RecordReader>> OpenSliceReader(
   if (format == table::FileFormat::kColumnar) {
     DGF_ASSIGN_OR_RETURN(auto reader,
                          table::ColSplitReader::Open(dfs, range, schema));
+    reader->ConfirmGroupAtStart();
     if (zone_filter != nullptr && !zone_filter->empty()) {
       reader->SetZoneMapFilter(*zone_filter, skipped);
     }

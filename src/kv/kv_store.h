@@ -95,7 +95,7 @@ class WriteBatch {
 /// Immutable point-in-time view of a store.
 ///
 /// A snapshot is safe to read from any thread without synchronization and
-/// keeps every resource it references (LSM runs, materialized memtables)
+/// keeps every resource it references (LSM runs, the materialized memtable)
 /// alive for its own lifetime, even if the store mutates, flushes, or
 /// compacts after the snapshot was taken.
 class KvSnapshot {
@@ -145,15 +145,9 @@ class KvStore {
   /// Batched lookup: one result per key, in key order (NotFound for absent or
   /// deleted keys). The HBase multi-get analogue — one round trip amortizes
   /// locking and block reads across the whole batch, which is what makes the
-  /// point-get strategy of DgfIndex::Lookup cheap. The base implementation
-  /// just loops over Get; stores override it with a genuinely batched probe.
+  /// point-get strategy of DgfIndex::Lookup cheap.
   virtual std::vector<Result<std::string>> MultiGet(
-      std::span<const std::string> keys) {
-    std::vector<Result<std::string>> results;
-    results.reserve(keys.size());
-    for (const std::string& key : keys) results.push_back(Get(key));
-    return results;
-  }
+      std::span<const std::string> keys) = 0;
 
   /// Snapshot cursor over the live entries.
   virtual std::unique_ptr<Iterator> NewIterator() = 0;

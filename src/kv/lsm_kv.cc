@@ -1,6 +1,7 @@
 #include "kv/lsm_kv.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/encoding.h"
@@ -13,16 +14,41 @@ namespace {
 
 using MemVec = std::vector<std::pair<std::string, std::optional<std::string>>>;
 
-// WAL record: varint(key_len) key varint(value_len+1) value; 0 = tombstone.
-void EncodeWalRecord(std::string* out, std::string_view key,
-                     std::string_view value, bool tombstone) {
-  PutLengthPrefixed(out, key);
-  if (tombstone) {
+// WAL record, one per Put, Delete or ApplyBatch, so a batch replays whole or
+// not at all:
+//   fixed32(payload_len) fixed32(crc32(payload)) fixed32(crc32(first 8 bytes))
+//   payload: per write, varint(key_len) key varint(value_len+1) value, with
+//            value_len field 0 for a tombstone (no value bytes).
+// The header's own CRC is what tells a damaged length from a record that the
+// end of the file cuts short.
+constexpr size_t kWalHeaderBytes = 12;
+
+void EncodeWalEntry(std::string* out, const WriteBatch::Entry& entry) {
+  PutLengthPrefixed(out, entry.key);
+  if (entry.is_delete) {
     PutVarint64(out, 0);
   } else {
-    PutVarint64(out, value.size() + 1);
-    out->append(value);
+    PutVarint64(out, entry.value.size() + 1);
+    out->append(entry.value);
   }
+}
+
+Result<std::string> EncodeWalRecord(const WriteBatch& batch) {
+  std::string record(kWalHeaderBytes, '\0');  // header filled in below
+  for (const WriteBatch::Entry& entry : batch.entries()) {
+    EncodeWalEntry(&record, entry);
+  }
+  const std::string_view payload =
+      std::string_view(record).substr(kWalHeaderBytes);
+  if (payload.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("write batch exceeds the 4 GiB WAL record");
+  }
+  std::string header;
+  PutFixed32(&header, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&header, Crc32(0, payload));
+  PutFixed32(&header, Crc32(0, header));
+  record.replace(0, kWalHeaderBytes, header);
+  return record;
 }
 
 /// Merging iterator over memtable snapshot + runs with newest-wins dedup.
@@ -145,6 +171,29 @@ const std::optional<std::string>* FindInMemVec(const MemVec& mem,
   return &it->second;
 }
 
+// The read result of a memtable slot (nullopt is a tombstone).
+Result<std::string> SlotValue(const std::optional<std::string>& slot) {
+  if (!slot.has_value()) return Status::NotFound("deleted");
+  return *slot;
+}
+
+// Point lookup of a key the memtable does not hold: runs newest to oldest,
+// the first run that knows the key (value or tombstone) decides.
+Result<std::string> GetFromRuns(
+    const std::vector<std::shared_ptr<SstableReader>>& runs,
+    std::string_view key) {
+  for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
+    bool deleted = false;
+    auto value = (*run)->Get(key, &deleted);
+    if (value.ok()) {
+      if (deleted) return Status::NotFound("deleted");
+      return value;
+    }
+    if (!value.status().IsNotFound()) return value.status();
+  }
+  return Status::NotFound("key not found");
+}
+
 // Resolves the keys at `pending` indices against `runs` (newest last): each
 // run serves the batch in one forward merge-join pass over sorted keys.
 // Results for keys a run resolves are written into `results`; keys no run
@@ -197,20 +246,8 @@ class LsmSnapshot : public KvSnapshot {
       : mem_(std::move(mem)), runs_(std::move(runs)), version_(version) {}
 
   Result<std::string> Get(std::string_view key) const override {
-    if (const auto* slot = FindInMemVec(*mem_, key)) {
-      if (!slot->has_value()) return Status::NotFound("deleted");
-      return **slot;
-    }
-    for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
-      bool deleted = false;
-      auto value = (*run)->Get(key, &deleted);
-      if (value.ok()) {
-        if (deleted) return Status::NotFound("deleted");
-        return value;
-      }
-      if (!value.status().IsNotFound()) return value.status();
-    }
-    return Status::NotFound("key not found");
+    if (const auto* slot = FindInMemVec(*mem_, key)) return SlotValue(*slot);
+    return GetFromRuns(runs_, key);
   }
 
   std::vector<Result<std::string>> MultiGet(
@@ -223,11 +260,7 @@ class LsmSnapshot : public KvSnapshot {
     std::vector<size_t> pending;
     for (size_t i = 0; i < keys.size(); ++i) {
       if (const auto* slot = FindInMemVec(*mem_, keys[i])) {
-        if (slot->has_value()) {
-          results[i] = **slot;
-        } else {
-          results[i] = Status::NotFound("deleted");
-        }
+        results[i] = SlotValue(*slot);
       } else {
         pending.push_back(i);
       }
@@ -340,84 +373,69 @@ Status LsmKv::Recover() {
     }
   }
   wal_path_ = options_.dir + "/WAL";
-  if (dfs.Exists(wal_path_)) {
-    DGF_RETURN_IF_ERROR(ReplayWal(wal_path_));
-    DGF_ASSIGN_OR_RETURN(wal_, dfs.Append(wal_path_));
-  } else {
+  if (!dfs.Exists(wal_path_)) {
+    DGF_ASSIGN_OR_RETURN(wal_, dfs.Create(wal_path_));
+    return Status::OK();
+  }
+  DGF_ASSIGN_OR_RETURN(const bool torn, ReplayWal(wal_path_));
+  DGF_ASSIGN_OR_RETURN(wal_, dfs.Append(wal_path_));
+  if (torn) {
+    // Records appended behind the torn one would read as damage on the next
+    // replay: seal what replayed into a run, which starts a fresh WAL.
+    if (!memtable_.empty()) return FlushLocked();
+    DGF_RETURN_IF_ERROR(wal_->Close());
+    DGF_RETURN_IF_ERROR(dfs.Delete(wal_path_));
     DGF_ASSIGN_OR_RETURN(wal_, dfs.Create(wal_path_));
   }
   return Status::OK();
 }
 
-Status LsmKv::ReplayWal(const std::string& path) {
+Result<bool> LsmKv::ReplayWal(const std::string& path) {
   DGF_ASSIGN_OR_RETURN(auto reader, options_.dfs->OpenForRead(path));
   std::string contents;
   DGF_RETURN_IF_ERROR(reader->Pread(0, reader->Length(), &contents));
   std::string_view cursor(contents);
+  auto corrupt = [&](const char* what) {
+    return Status::Corruption(
+        std::string(what) + " in WAL record at offset " +
+        std::to_string(contents.size() - cursor.size()) + " of " + path);
+  };
   while (!cursor.empty()) {
-    auto key = GetLengthPrefixed(&cursor);
-    if (!key.ok()) break;  // torn tail write: stop replay, keep prefix
-    auto vlen = GetVarint64(&cursor);
-    if (!vlen.ok()) break;
-    if (*vlen == 0) {
-      memtable_[std::string(*key)] = std::nullopt;
-      memtable_bytes_ += key->size() + 1;
-      ++version_;  // keep the epoch monotonic across restarts
-      continue;
+    // Only the end of the file may cut a record short: that write was never
+    // acknowledged, so replay drops it and stops.
+    if (cursor.size() < kWalHeaderBytes) return true;
+    const uint32_t length = DecodeFixed32(cursor.data());
+    if (DecodeFixed32(cursor.data() + 8) != Crc32(0, cursor.substr(0, 8))) {
+      return corrupt("header checksum mismatch");
     }
-    if (cursor.size() < *vlen - 1) break;
-    memtable_[std::string(*key)] = std::string(cursor.substr(0, *vlen - 1));
-    memtable_bytes_ += key->size() + *vlen;
-    ++version_;
-    cursor.remove_prefix(*vlen - 1);
+    if (cursor.size() - kWalHeaderBytes < length) return true;
+    std::string_view payload = cursor.substr(kWalHeaderBytes, length);
+    if (DecodeFixed32(cursor.data() + 4) != Crc32(0, payload)) {
+      return corrupt("payload checksum mismatch");
+    }
+    WriteBatch batch;
+    while (!payload.empty()) {
+      auto key = GetLengthPrefixed(&payload);
+      if (!key.ok()) return corrupt("malformed entry");
+      auto vlen = GetVarint64(&payload);
+      if (!vlen.ok() || (*vlen > 0 && payload.size() < *vlen - 1)) {
+        return corrupt("malformed entry");
+      }
+      if (*vlen == 0) {
+        batch.Delete(*key);
+      } else {
+        batch.Put(*key, payload.substr(0, *vlen - 1));
+        payload.remove_prefix(*vlen - 1);
+      }
+    }
+    ApplyToMemtableLocked(batch);
+    cursor.remove_prefix(kWalHeaderBytes + length);
+    ++version_;  // one record is one mutation, as when it was written
   }
-  return Status::OK();
+  return false;
 }
 
-Status LsmKv::WriteWal(std::string_view key, std::string_view value,
-                       bool tombstone) {
-  std::string record;
-  EncodeWalRecord(&record, key, value, tombstone);
-  return wal_->Append(record);
-}
-
-Status LsmKv::Put(std::string_view key, std::string_view value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DGF_RETURN_IF_ERROR(WriteWal(key, value, /*tombstone=*/false));
-  memtable_[std::string(key)] = std::string(value);
-  memtable_bytes_ += key.size() + value.size() + 1;
-  ++version_;
-  mem_snapshot_.reset();
-  if (memtable_bytes_ >= options_.memtable_flush_bytes) {
-    return FlushLocked();
-  }
-  return Status::OK();
-}
-
-Status LsmKv::Delete(std::string_view key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DGF_RETURN_IF_ERROR(WriteWal(key, {}, /*tombstone=*/true));
-  memtable_[std::string(key)] = std::nullopt;
-  memtable_bytes_ += key.size() + 1;
-  ++version_;
-  mem_snapshot_.reset();
-  if (memtable_bytes_ >= options_.memtable_flush_bytes) {
-    return FlushLocked();
-  }
-  return Status::OK();
-}
-
-Status LsmKv::ApplyBatch(const WriteBatch& batch) {
-  if (batch.empty()) return Status::OK();
-  std::lock_guard<std::mutex> lock(mu_);
-  // One concatenated WAL append makes the batch a single durability unit:
-  // a torn tail during replay drops a suffix of records, never interleaves
-  // a later writer's records inside ours.
-  std::string records;
-  for (const WriteBatch::Entry& entry : batch.entries()) {
-    EncodeWalRecord(&records, entry.key, entry.value, entry.is_delete);
-  }
-  DGF_RETURN_IF_ERROR(wal_->Append(records));
+void LsmKv::ApplyToMemtableLocked(const WriteBatch& batch) {
   for (const WriteBatch::Entry& entry : batch.entries()) {
     if (entry.is_delete) {
       memtable_[entry.key] = std::nullopt;
@@ -427,6 +445,26 @@ Status LsmKv::ApplyBatch(const WriteBatch& batch) {
       memtable_bytes_ += entry.key.size() + entry.value.size() + 1;
     }
   }
+}
+
+Status LsmKv::Put(std::string_view key, std::string_view value) {
+  WriteBatch batch;
+  batch.Put(key, value);
+  return ApplyBatch(batch);
+}
+
+Status LsmKv::Delete(std::string_view key) {
+  WriteBatch batch;
+  batch.Delete(key);
+  return ApplyBatch(batch);
+}
+
+Status LsmKv::ApplyBatch(const WriteBatch& batch) {
+  if (batch.empty()) return Status::OK();
+  DGF_ASSIGN_OR_RETURN(const std::string record, EncodeWalRecord(batch));
+  std::lock_guard<std::mutex> lock(mu_);
+  DGF_RETURN_IF_ERROR(wal_->Append(record));
+  ApplyToMemtableLocked(batch);
   ++version_;  // one bump: the batch is one logical mutation
   mem_snapshot_.reset();
   if (memtable_bytes_ >= options_.memtable_flush_bytes) {
@@ -456,20 +494,8 @@ uint64_t LsmKv::version() {
 Result<std::string> LsmKv::Get(std::string_view key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = memtable_.find(std::string(key));
-  if (it != memtable_.end()) {
-    if (!it->second.has_value()) return Status::NotFound("deleted");
-    return *it->second;
-  }
-  for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
-    bool deleted = false;
-    auto value = (*run)->Get(key, &deleted);
-    if (value.ok()) {
-      if (deleted) return Status::NotFound("deleted");
-      return value;
-    }
-    if (!value.status().IsNotFound()) return value.status();
-  }
-  return Status::NotFound("key not found");
+  if (it != memtable_.end()) return SlotValue(it->second);
+  return GetFromRuns(runs_, key);
 }
 
 std::vector<Result<std::string>> LsmKv::MultiGet(
@@ -490,10 +516,8 @@ std::vector<Result<std::string>> LsmKv::MultiGet(
       auto it = memtable_.find(keys[i]);
       if (it == memtable_.end()) {
         pending.push_back(i);
-      } else if (it->second.has_value()) {
-        results[i] = *it->second;
       } else {
-        results[i] = Status::NotFound("deleted");
+        results[i] = SlotValue(it->second);
       }
     }
     runs = runs_;
@@ -547,39 +571,9 @@ Status LsmKv::FlushLocked() {
   DGF_RETURN_IF_ERROR(options_.dfs->Delete(wal_path_));
   DGF_CRASH_POINT("lsm.flush.after_wal_delete");
   DGF_ASSIGN_OR_RETURN(wal_, options_.dfs->Create(wal_path_));
+  // Compact inline; the store is small relative to the data it indexes.
   if (static_cast<int>(runs_.size()) > options_.max_runs) {
-    // Compact inline; the store is small relative to the data it indexes.
-    std::vector<std::shared_ptr<SstableReader>> old_runs = runs_;
-    DGF_RETURN_IF_ERROR([&]() -> Status {
-      DGF_CRASH_POINT("lsm.compact.before_merge");
-      const uint64_t merged_id = next_run_id_++;
-      DGF_ASSIGN_OR_RETURN(
-          auto merged_writer,
-          SstableWriter::Create(options_.dfs, RunPath(merged_id)));
-      LsmIterator merge_it(std::make_shared<const MemVec>(), runs_);
-      // Keep tombstones out: a full compaction covers the whole history.
-      for (merge_it.SeekToFirst(); merge_it.Valid(); merge_it.Next()) {
-        DGF_RETURN_IF_ERROR(merged_writer->Add(merge_it.key(), merge_it.value()));
-      }
-      DGF_RETURN_IF_ERROR(merged_writer->Finish());
-      DGF_CRASH_POINT("lsm.compact.after_merge");
-      DGF_ASSIGN_OR_RETURN(
-          auto merged, SstableReader::Open(options_.dfs, RunPath(merged_id)));
-      runs_.clear();
-      runs_.push_back(std::move(merged));
-      if (Status st = WriteManifest(); !st.ok()) {
-        runs_ = old_runs;  // the manifest still lists the pre-merge runs
-        return st;
-      }
-      DGF_CRASH_POINT("lsm.compact.before_delete_stale");
-      return Status::OK();
-    }());
-    for (const auto& run : old_runs) {
-      Status st = options_.dfs->Delete(run->path());
-      if (!st.ok()) {
-        DGF_LOG(kWarn) << "stale run delete: " << st.ToString();
-      }
-    }
+    return CompactLocked();
   }
   return Status::OK();
 }
@@ -592,12 +586,17 @@ Status LsmKv::Flush() {
 Status LsmKv::Compact() {
   std::lock_guard<std::mutex> lock(mu_);
   DGF_RETURN_IF_ERROR(FlushLocked());
+  return CompactLocked();
+}
+
+Status LsmKv::CompactLocked() {
   if (runs_.size() <= 1) return Status::OK();
   std::vector<std::shared_ptr<SstableReader>> old_runs = runs_;
   DGF_CRASH_POINT("lsm.compact.before_merge");
   const uint64_t merged_id = next_run_id_++;
   DGF_ASSIGN_OR_RETURN(auto writer,
                        SstableWriter::Create(options_.dfs, RunPath(merged_id)));
+  // Keep tombstones out: a full compaction covers the whole history.
   LsmIterator merge_it(std::make_shared<const MemVec>(), runs_);
   for (merge_it.SeekToFirst(); merge_it.Valid(); merge_it.Next()) {
     DGF_RETURN_IF_ERROR(writer->Add(merge_it.key(), merge_it.value()));

@@ -24,11 +24,14 @@ namespace dgf::kv {
 /// records the live run set and is replaced atomically via rename.
 ///
 /// Reads consult memtable first, then runs newest-to-oldest; range scans
-/// merge all sources with newest-wins semantics. Recovery replays the WAL
-/// over the runs listed in the manifest, rolls a completed MANIFEST.tmp
-/// forward when a crash landed between the old manifest's deletion and the
-/// rename, and deletes orphan run files a crash left unadopted (their
-/// records are still covered by the WAL).
+/// merge all sources with newest-wins semantics. The WAL holds one
+/// checksummed record per Put, Delete or ApplyBatch, so a batch replays whole
+/// or not at all: replay drops only a record that the end of the file cuts
+/// short, and any other damaged record fails Open with Corruption. Recovery
+/// replays the WAL over the runs listed in the manifest, rolls a completed
+/// MANIFEST.tmp forward when a crash landed between the old manifest's
+/// deletion and the rename, and deletes orphan run files a crash left
+/// unadopted (their records are still covered by the WAL).
 ///
 /// Concurrency: GetSnapshot pins an immutable view (materialized memtable
 /// copy + ref-counted run set + version). Runs are mapped fully into memory
@@ -88,10 +91,15 @@ class LsmKv : public KvStore {
   using MemVec = std::vector<std::pair<std::string, std::optional<std::string>>>;
 
   Status Recover();
-  Status ReplayWal(const std::string& path);
-  Status WriteWal(std::string_view key, std::string_view value, bool tombstone);
+  // Replays every whole WAL record into the memtable; true when the end of
+  // the file cut the last record short (that record is dropped). Any other
+  // damage is Corruption.
+  Result<bool> ReplayWal(const std::string& path);
+  // Applies every entry of `batch` to the memtable. Caller must hold mu_.
+  void ApplyToMemtableLocked(const WriteBatch& batch);
   Status WriteManifest();  // callers hold mu_
   Status FlushLocked();    // callers hold mu_
+  Status CompactLocked();  // callers hold mu_
   std::string RunPath(uint64_t id) const;
   // Returns the cached memtable copy, rebuilding it after a mutation
   // invalidated it. Caller must hold mu_.

@@ -92,7 +92,8 @@ Result<std::unique_ptr<HttpExporter>> HttpExporter::Start(Options options) {
                        HttpListenTcp(options.port, &exporter->port_));
   {
     std::lock_guard<std::mutex> lock(exporter->mu_);
-    exporter->threads_.emplace_back([e = exporter.get()] { e->AcceptLoop(); });
+    exporter->accept_thread_ =
+        std::thread([e = exporter.get()] { e->AcceptLoop(); });
   }
   return exporter;
 }
@@ -116,7 +117,7 @@ void HttpExporter::AcceptLoop() {
       return;
     }
     open_fds_.push_back(fd);
-    threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    connection_threads_.Start([this, fd] { HandleConnection(fd); });
   }
 }
 
@@ -152,6 +153,10 @@ void HttpExporter::HandleConnection(int fd) {
     response = RespondTo(head);
   }
   SendAllBytes(fd, response);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase(open_fds_, fd);
+  }
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
 }
@@ -203,14 +208,16 @@ std::string HttpExporter::RespondTo(const std::string& head) const {
 }
 
 void HttpExporter::Shutdown() {
-  std::vector<std::thread> threads;
-  std::vector<int> fds;
+  std::thread accept_thread;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (torn_down_) return;
     torn_down_ = true;
-    threads.swap(threads_);
-    fds.swap(open_fds_);
+    accept_thread.swap(accept_thread_);
+    // Connection handlers own their fds and close them on exit; shutdown
+    // just interrupts any blocked recv so the joins below cannot hang. Done
+    // under mu_, where every listed fd is still open.
+    for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   stopping_.store(true, std::memory_order_release);
   const int listen_fd = listen_fd_.exchange(-1);
@@ -218,10 +225,8 @@ void HttpExporter::Shutdown() {
     ::shutdown(listen_fd, SHUT_RDWR);
     ::close(listen_fd);
   }
-  // Connection handlers own their fds and close them on exit; shutdown just
-  // interrupts any blocked recv so the joins below cannot hang.
-  for (int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& thread : threads) thread.join();
+  if (accept_thread.joinable()) accept_thread.join();
+  connection_threads_.JoinAll();
 }
 
 Result<HttpResponse> HttpGet(int port, const std::string& path,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -72,8 +73,11 @@ class HttpExporter {
 
   std::mutex mu_;
   bool torn_down_ = false;
+  // Connection fds not yet closed: a handler takes its fd off this list
+  // under mu_ before closing it, so Shutdown never touches a reused number.
   std::vector<int> open_fds_;
-  std::vector<std::thread> threads_;  // accept thread + one per connection
+  std::thread accept_thread_;
+  ConnectionThreads connection_threads_;
 };
 
 /// Tiny blocking HTTP/1.0 GET against 127.0.0.1:`port` — the client side for

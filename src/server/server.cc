@@ -83,7 +83,8 @@ Result<std::unique_ptr<Server>> Server::Start(Options options) {
   }
   {
     std::lock_guard<std::mutex> lock(server->mu_);
-    server->threads_.emplace_back([s = server.get()] { s->AcceptLoop(); });
+    server->accept_thread_ =
+        std::thread([s = server.get()] { s->AcceptLoop(); });
   }
   return server;
 }
@@ -109,7 +110,7 @@ void Server::AcceptLoop() {
       return;
     }
     connections_.push_back(conn);
-    threads_.emplace_back([this, conn] { HandleConnection(conn); });
+    connection_threads_.Start([this, conn] { HandleConnection(conn); });
   }
 }
 
@@ -120,12 +121,16 @@ void Server::HandleConnection(const std::shared_ptr<Connection>& conn) {
     if (!more.ok() || !*more) break;
     if (!HandleRequest(conn, body)) break;
   }
-  // Mark closed before closing the descriptor so a query completion racing
-  // in never writes to a recycled fd.
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  conn->open.store(false, std::memory_order_release);
-  ::close(conn->fd);
-  conn->fd = -1;
+  {
+    // Mark closed before closing the descriptor so a query completion racing
+    // in never writes to a recycled fd.
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    conn->open.store(false, std::memory_order_release);
+    ::close(conn->fd);
+    conn->fd = -1;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase(connections_, conn);
 }
 
 void Server::WriteResponse(Connection& conn, const Response& response) {
@@ -275,7 +280,7 @@ void Server::WaitShutdown() {
 }
 
 void Server::Shutdown() {
-  std::vector<std::thread> threads;
+  std::thread accept_thread;
   std::vector<std::shared_ptr<Connection>> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -283,7 +288,7 @@ void Server::Shutdown() {
     torn_down_ = true;
     shutdown_requested_ = true;
     shutdown_cv_.notify_all();
-    threads.swap(threads_);
+    accept_thread.swap(accept_thread_);
     connections.swap(connections_);
   }
   stopping_.store(true, std::memory_order_release);
@@ -303,7 +308,8 @@ void Server::Shutdown() {
     }
   }
   options_.service->Drain();
-  for (std::thread& thread : threads) thread.join();
+  if (accept_thread.joinable()) accept_thread.join();
+  connection_threads_.JoinAll();
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "server/service_interface.h"
 #include "server/wire.h"
 
@@ -98,8 +99,9 @@ class Server {
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
   bool torn_down_ = false;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> threads_;  // accept thread + one per connection
+  std::vector<std::shared_ptr<Connection>> connections_;  // live ones
+  std::thread accept_thread_;
+  ConnectionThreads connection_threads_;
 };
 
 }  // namespace dgf::server

@@ -1,8 +1,9 @@
 // dgf_serverd: standalone query-service daemon over a generated demo world.
 //
 // Builds the paper's smart-meter dataset in a temporary MiniDfs, reorganizes
-// it under a DGFIndex (sum/count precomputed), registers the userInfo join
-// table, and serves the wire protocol until a SHUTDOWN request.
+// it under a DGFIndex (sum/count precomputed) whose GFU pairs live in an
+// LsmKv on that same MiniDfs, registers the userInfo join table, and serves
+// the wire protocol until a SHUTDOWN request.
 //
 //   dgf_serverd --port=4641              # TCP on 127.0.0.1
 //   dgf_serverd --unix=/tmp/dgf.sock     # Unix socket
@@ -50,7 +51,7 @@
 #include "coord/coordinator.h"
 #include "coord/shard_map.h"
 #include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "server/client.h"
@@ -142,7 +143,8 @@ Result<std::unique_ptr<DemoWorld>> BuildDemoWorld(const Flags& flags) {
   };
   build.precompute = {"sum(powerConsumed)", "count(*)"};
   build.data_dir = "/warehouse/dgf";
-  world->store = std::make_shared<kv::MemKv>();
+  DGF_ASSIGN_OR_RETURN(world->store, kv::LsmKv::Open({.dfs = world->dfs,
+                                                      .dir = "/index/meter"}));
   DGF_ASSIGN_OR_RETURN(world->dgf,
                        core::DgfBuilder::Build(world->dfs, world->store,
                                                world->meter, build));

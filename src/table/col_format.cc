@@ -474,22 +474,17 @@ Result<bool> ColSplitReader::LoadNextGroup() {
 
   for (;;) {
     if (done_) return false;
-    // At a confirmed group boundary inside the split the next marker must be
-    // right there and whole: a sync scan would step over a damaged marker
-    // and silently drop its group.
+    DGF_ASSIGN_OR_RETURN(int64_t sync_at, FindSync(scan_pos_));
+    // At a confirmed group boundary inside the split (where the scan starts)
+    // the next marker must be right there and whole: a scan that stepped
+    // over a damaged marker would silently drop its group.
     if (confirmed_group_at_.has_value() &&
         *confirmed_group_at_ < split_.end() &&
-        *confirmed_group_at_ < reader_->Length()) {
-      const uint64_t at = *confirmed_group_at_;
-      DGF_RETURN_IF_ERROR(EnsureBuffered(at, kSyncLen));
-      if (buffer_start_ + buffer_.size() < at + kSyncLen ||
-          std::memcmp(buffer_.data() + (at - buffer_start_), kColSyncMarker,
-                      kSyncLen) != 0) {
-        return Status::Corruption("columnar sync marker damaged at offset " +
-                                  std::to_string(at));
-      }
+        *confirmed_group_at_ < reader_->Length() &&
+        sync_at != static_cast<int64_t>(*confirmed_group_at_)) {
+      return Status::Corruption("columnar sync marker damaged at offset " +
+                                std::to_string(*confirmed_group_at_));
     }
-    DGF_ASSIGN_OR_RETURN(int64_t sync_at, FindSync(scan_pos_));
     if (sync_at < 0 || static_cast<uint64_t>(sync_at) >= split_.end()) {
       done_ = true;
       return false;

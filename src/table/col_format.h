@@ -120,13 +120,13 @@ using ZoneMapPredicate = std::vector<ZoneMapRange>;
 ///
 /// Fixed64 payloads store raw double bits, so user data can legitimately
 /// embed the sync marker mid-payload. A marker found at an offset that is
-/// not a confirmed group boundary (byte 0, or the exact end of the previous
-/// group) is treated as speculative: if its group header fails to parse or
-/// checksum, the scan resumes past the false marker instead of reporting
-/// Corruption — this is what lets a split reader start its sync scan inside
-/// such a payload and still find the real next group. At a confirmed
-/// boundary inside the split, anything but the whole marker is Corruption
-/// (a scan past a damaged marker would silently drop its group).
+/// not a confirmed group boundary (byte 0, a Slice start, or the exact end of
+/// the previous group) is treated as speculative: if its group header fails
+/// to parse or checksum, the scan resumes past the false marker instead of
+/// reporting Corruption — this is what lets a split reader start its sync
+/// scan inside such a payload and still find the real next group. At a
+/// confirmed boundary inside the split, anything but the whole marker is
+/// Corruption (a scan past a damaged marker would silently drop its group).
 ///
 /// With `SetZoneMapFilter`, the reader walks each group's block headers
 /// first (cheap: a few dozen bytes per column) and, if any filtered column's
@@ -163,6 +163,11 @@ class ColSplitReader : public RecordReader {
   void SetZoneMapFilter(ZoneMapPredicate pred,
                         obs::Counter* skipped = nullptr);
 
+  /// Declares that the split starts exactly on a group boundary, as a
+  /// DGFIndex Slice does: a damaged marker there is then Corruption instead
+  /// of a speculative marker to scan past. Call before the first Next().
+  void ConfirmGroupAtStart() { confirmed_group_at_ = split_.offset; }
+
   /// Column blocks skipped via zone maps (payload never read or decoded).
   uint64_t BlocksSkipped() const { return blocks_skipped_; }
   /// Column-block payloads actually decoded (the zone-map unit test asserts
@@ -188,7 +193,8 @@ class ColSplitReader : public RecordReader {
 
   uint64_t scan_pos_ = 0;  // file offset where the next sync search begins
   // Exact file offset of the next group boundary when known: 0 for a split
-  // starting at byte 0, then the end of each successfully walked group. A
+  // starting at byte 0, the start of a Slice (ConfirmGroupAtStart), then the
+  // end of each successfully walked group. A
   // sync marker found anywhere else is speculative — it may be fixed64
   // payload bytes that happen to equal the marker — so its group-header
   // validation failures resume the scan instead of reporting Corruption.

@@ -18,7 +18,7 @@
 #include "common/random.h"
 #include "dgf/dgf_builder.h"
 #include "dgf/dgf_input_format.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "table/table.h"
 #include "workload/meter_gen.h"
 
@@ -191,13 +191,15 @@ Result<SweepWorld> MakeWorld(uint64_t seed) {
 Result<BuiltIndex> BuildVariant(const SweepWorld& world,
                                 table::FileFormat format, int threads) {
   BuiltIndex built;
-  built.data_dir =
-      std::string("/dgf/") +
-      (format == table::FileFormat::kText
-           ? "text"
-           : format == table::FileFormat::kRcFile ? "rc" : "col") +
+  const std::string variant =
+      std::string(format == table::FileFormat::kText
+                      ? "text"
+                      : format == table::FileFormat::kRcFile ? "rc" : "col") +
       "/t" + std::to_string(threads);
-  built.store = std::make_shared<kv::MemKv>();
+  built.data_dir = "/dgf/" + variant;
+  // The store lives outside every data dir the comparison lists.
+  DGF_ASSIGN_OR_RETURN(built.store, kv::LsmKv::Open({.dfs = world.dfs,
+                                                     .dir = "/kv/" + variant}));
   core::DgfBuilder::Options options;
   options.dims = world.dims;
   options.precompute = world.precompute;

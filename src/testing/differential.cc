@@ -17,7 +17,7 @@
 #include "dgf/dgf_builder.h"
 #include "index/bitmap_index.h"
 #include "index/compact_index.h"
-#include "kv/mem_kv.h"
+#include "kv/lsm_kv.h"
 #include "query/executor.h"
 #include "table/table.h"
 #include "testing/corruption.h"
@@ -145,6 +145,8 @@ Result<std::unique_ptr<World>> BuildWorld(uint64_t seed, int worker_threads) {
       world->aggregate,
       index::AggregateIndex::Build(world->dfs, world->meter, agg_build));
 
+  // The three GFU stores live under /kv/, outside the /w/ tree whose files
+  // the fault sweep's corruption stage flips.
   core::DgfBuilder::Options dgf_build;
   dgf_build.dims = world->dims;
   // sum+count precomputed, min/max not: queries exercise both the
@@ -153,19 +155,22 @@ Result<std::unique_ptr<World>> BuildWorld(uint64_t seed, int worker_threads) {
   dgf_build.split_size = 16384;
   dgf_build.data_dir = "/w/dgf_text";
   dgf_build.data_format = table::FileFormat::kText;
-  world->text_store = std::make_shared<kv::MemKv>();
+  DGF_ASSIGN_OR_RETURN(world->text_store,
+                       kv::LsmKv::Open({.dfs = world->dfs, .dir = "/kv/text"}));
   DGF_ASSIGN_OR_RETURN(world->dgf_text,
                        core::DgfBuilder::Build(world->dfs, world->text_store,
                                                world->meter, dgf_build));
   dgf_build.data_dir = "/w/dgf_rc";
   dgf_build.data_format = table::FileFormat::kRcFile;
-  world->rc_store = std::make_shared<kv::MemKv>();
+  DGF_ASSIGN_OR_RETURN(world->rc_store,
+                       kv::LsmKv::Open({.dfs = world->dfs, .dir = "/kv/rc"}));
   DGF_ASSIGN_OR_RETURN(world->dgf_rc,
                        core::DgfBuilder::Build(world->dfs, world->rc_store,
                                                world->meter, dgf_build));
   dgf_build.data_dir = "/w/dgf_col";
   dgf_build.data_format = table::FileFormat::kColumnar;
-  world->col_store = std::make_shared<kv::MemKv>();
+  DGF_ASSIGN_OR_RETURN(world->col_store,
+                       kv::LsmKv::Open({.dfs = world->dfs, .dir = "/kv/col"}));
   DGF_ASSIGN_OR_RETURN(world->dgf_col,
                        core::DgfBuilder::Build(world->dfs, world->col_store,
                                                world->meter, dgf_build));

@@ -90,7 +90,6 @@ Result<NodeCrashSweepReport> RunNodeCrashSweep(
       cluster_options.dims = world.dims();
       cluster_options.num_shards = requested;
       cluster_options.replication = 2;
-      cluster_options.use_lsm = true;
       DGF_ASSIGN_OR_RETURN(auto cluster,
                            ShardedCluster::Start(cluster_options));
       ++report.clusters_run;

@@ -10,7 +10,6 @@
 
 #include "dgf/dgf_builder.h"
 #include "kv/lsm_kv.h"
-#include "kv/mem_kv.h"
 #include "table/table.h"
 
 namespace dgf::testing {
@@ -94,15 +93,8 @@ Result<std::unique_ptr<ShardedCluster>> ShardedCluster::Start(
     dgf_build.split_size = 16384;
     dgf_build.data_dir = "/s/dgf";
     dgf_build.data_format = table::FileFormat::kText;
-    if (options.use_lsm) {
-      kv::LsmKv::Options lsm_options;
-      lsm_options.dfs = s->dfs;
-      lsm_options.dir = "/s/kv";
-      DGF_ASSIGN_OR_RETURN(auto lsm, kv::LsmKv::Open(std::move(lsm_options)));
-      s->store = std::shared_ptr<kv::KvStore>(std::move(lsm));
-    } else {
-      s->store = std::make_shared<kv::MemKv>();
-    }
+    DGF_ASSIGN_OR_RETURN(s->store,
+                         kv::LsmKv::Open({.dfs = s->dfs, .dir = "/s/kv"}));
     DGF_ASSIGN_OR_RETURN(
         s->dgf, core::DgfBuilder::Build(s->dfs, s->store, s->meter, dgf_build));
 

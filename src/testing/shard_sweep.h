@@ -40,10 +40,6 @@ class ShardedCluster {
     /// with failover reads (1 = one checksummed copy, nothing to fail over
     /// to).
     int replication = 1;
-    /// Back each shard with LsmKv (WAL + SSTable runs through the shard's
-    /// MiniDfs, so the metadata/epoch log rides DFS replication) instead of
-    /// MemKv — required for kill-and-reopen recovery checks to be real.
-    bool use_lsm = false;
     int max_concurrent = 4;
     int max_pending = 16;
     double connect_timeout_seconds = 2.0;

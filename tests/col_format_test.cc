@@ -14,6 +14,7 @@
 
 #include "common/encoding.h"
 #include "common/random.h"
+#include "dgf/dgf_input_format.h"
 #include "obs/metrics.h"
 #include "table/col_format.h"
 #include "table/rc_format.h"
@@ -100,7 +101,7 @@ Result<std::string> WriteColFile(const std::shared_ptr<fs::MiniDfs>& dfs,
   return path;
 }
 
-Result<std::vector<Row>> ReadAll(ColSplitReader* reader) {
+Result<std::vector<Row>> ReadAll(RecordReader* reader) {
   std::vector<Row> rows;
   Row row;
   for (;;) {
@@ -623,6 +624,43 @@ TEST(ColFormatTest, DamagedSyncMarkerIsCorruptionNotADroppedGroup) {
           << "group " << group << " byte " << i << ": "
           << got.status().ToString();
     }
+  }
+}
+
+TEST(ColFormatTest, DamagedMarkerAtSliceStartIsCorruption) {
+  // A DGFIndex Slice starts exactly on a group boundary, so a damaged marker
+  // there is damage, not a false marker for the sync scan to step over.
+  ScopedDfs dfs("col_slice_sync");
+  const auto rows = MakeRows(30, 12);
+  ASSERT_OK_AND_ASSIGN(std::string path,
+                       WriteColFile(dfs.get(), "/t.col", rows, 10));
+  const uint64_t len = FileLength(dfs.get(), path);
+  std::string bytes;
+  {
+    ASSERT_OK_AND_ASSIGN(auto src, dfs->OpenForRead(path));
+    ASSERT_OK(src->Pread(0, len, &bytes));
+  }
+  const std::string marker(kColSyncMarker, sizeof(kColSyncMarker));
+  const size_t group2 = bytes.find(marker, bytes.find(marker) + 1);
+  ASSERT_NE(group2, std::string::npos);
+  const core::SliceLocation slice{"/bad_slice.col", group2, len};
+  for (size_t i = 0; i < marker.size(); ++i) {
+    std::string damaged = bytes;
+    damaged[group2 + i] ^= 0x01;
+    if (dfs->Exists(slice.file)) ASSERT_OK(dfs->Delete(slice.file));
+    {
+      ASSERT_OK_AND_ASSIGN(auto dst, dfs->Create(slice.file));
+      ASSERT_OK(dst->Append(damaged));
+      ASSERT_OK(dst->Close());
+    }
+    ASSERT_OK_AND_ASSIGN(auto reader,
+                         core::OpenSliceReader(dfs.get(), slice, MeterSchema(),
+                                               FileFormat::kColumnar));
+    auto got = ReadAll(reader.get());
+    ASSERT_FALSE(got.ok()) << "byte " << i << ": read " << got->size()
+                           << " of 20 rows with status OK";
+    EXPECT_TRUE(got.status().IsCorruption())
+        << "byte " << i << ": " << got.status().ToString();
   }
 }
 

@@ -9,7 +9,6 @@
 #include "dgf/dgf_builder.h"
 #include "dgf/dgf_index.h"
 #include "dgf/dgf_input_format.h"
-#include "kv/mem_kv.h"
 #include "query/predicate.h"
 #include "table/table.h"
 #include "tests/test_util.h"
@@ -17,6 +16,7 @@
 namespace dgf::core {
 namespace {
 
+using ::dgf::testing::OpenTestStore;
 using ::dgf::testing::ScopedDfs;
 using table::DataType;
 using table::Schema;
@@ -65,7 +65,7 @@ BuiltIndex BuildTestIndex(const ScopedDfs& dfs, int n_rows, uint64_t seed,
   }
   EXPECT_OK((*writer)->Close());
 
-  built.store = std::make_shared<kv::MemKv>();
+  built.store = OpenTestStore(dfs.get());
   DgfBuilder::Options options;
   options.dims = {{"userId", DataType::kInt64, 0, 100},
                   {"regionId", DataType::kInt64, 0, 1},

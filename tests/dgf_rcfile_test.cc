@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "dgf/dgf_builder.h"
 #include "dgf/slice_optimizer.h"
-#include "kv/mem_kv.h"
 #include "query/executor.h"
 #include "tests/test_util.h"
 #include "workload/meter_gen.h"
@@ -20,6 +19,7 @@
 namespace dgf::core {
 namespace {
 
+using ::dgf::testing::OpenTestStore;
 using ::dgf::testing::ScopedDfs;
 
 struct RcWorld {
@@ -41,7 +41,7 @@ RcWorld MakeRcWorld(const std::string& tag) {
                                             world.config);
   EXPECT_TRUE(meter.ok());
   world.meter = *meter;
-  world.store = std::make_shared<kv::MemKv>();
+  world.store = OpenTestStore(world.dfs->get());
   DgfBuilder::Options options;
   options.dims = {{"userId", table::DataType::kInt64, 0, 30},
                   {"regionId", table::DataType::kInt64, 0, 1},

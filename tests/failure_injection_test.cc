@@ -10,7 +10,6 @@
 #include "dgf/dgf_input_format.h"
 #include "dgf/gfu.h"
 #include "kv/lsm_kv.h"
-#include "kv/mem_kv.h"
 #include "kv/sstable.h"
 #include "table/rc_format.h"
 #include "table/text_format.h"
@@ -21,6 +20,7 @@ namespace {
 
 using ::dgf::testing::AssertFlipByte;
 using ::dgf::testing::AssertTruncateFile;
+using ::dgf::testing::OpenTestStore;
 using ::dgf::testing::ScopedDfs;
 
 TEST(FailureInjectionTest, SstableTruncatedFooterIsCorruption) {
@@ -60,6 +60,60 @@ TEST(FailureInjectionTest, LsmTornWalTailIsDropped) {
   ASSERT_OK_AND_ASSIGN(uint64_t count, store->Count());
   EXPECT_EQ(count, 19u);  // all but the torn tail
   EXPECT_EQ(*store->Get("key100"), "value");
+}
+
+TEST(FailureInjectionTest, LsmTornWalBatchIsDroppedWhole) {
+  // A batch is one WAL record: a crash mid-write loses all of it, never
+  // replays a prefix of its entries (a torn publish).
+  ScopedDfs dfs("fi_wal_batch");
+  kv::LsmKv::Options options;
+  options.dfs = dfs.get();
+  options.dir = "/kv";
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, kv::LsmKv::Open(options));
+    kv::WriteBatch batch;
+    for (const char* key : {"a", "b", "c"}) batch.Put(key, "value");
+    ASSERT_OK(store->ApplyBatch(batch));
+  }
+  ASSERT_OK_AND_ASSIGN(auto stat, dfs->Stat("/kv/WAL"));
+  AssertTruncateFile(dfs, "/kv/WAL", stat.length - 2);
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, kv::LsmKv::Open(options));
+    ASSERT_OK_AND_ASSIGN(uint64_t count, store->Count());
+    EXPECT_EQ(count, 0u);
+    // A write after the dropped tail must not land behind its torn bytes.
+    ASSERT_OK(store->Put("d", "value"));
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, kv::LsmKv::Open(options));
+  ASSERT_OK_AND_ASSIGN(uint64_t count, store->Count());
+  EXPECT_EQ(count, 1u);
+  EXPECT_EQ(*store->Get("d"), "value");
+}
+
+TEST(FailureInjectionTest, LsmDamagedEarlyWalRecordIsCorruption) {
+  // Damage before the tail is no torn write: dropping the damaged record and
+  // everything after it would silently lose acknowledged writes.
+  ScopedDfs dfs("fi_wal_damage");
+  kv::LsmKv::Options options;
+  options.dfs = dfs.get();
+  options.dir = "/kv";
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, kv::LsmKv::Open(options));
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_OK(store->Put("key" + std::to_string(100 + i), "value"));
+    }
+  }
+  // Byte 1 lies in the first record's length field, byte 13 in its payload.
+  for (uint64_t at : {uint64_t{1}, uint64_t{13}}) {
+    AssertFlipByte(dfs, "/kv/WAL", at);
+    auto reopened = kv::LsmKv::Open(options);
+    EXPECT_TRUE(reopened.status().IsCorruption())
+        << "byte " << at << ": " << reopened.status().ToString();
+    AssertFlipByte(dfs, "/kv/WAL", at);  // FlipByte inverts: this restores
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, kv::LsmKv::Open(options));
+  ASSERT_OK_AND_ASSIGN(uint64_t count, store->Count());
+  EXPECT_EQ(count, 20u);
 }
 
 TEST(FailureInjectionTest, RcColumnCorruptionSurfacesAsError) {
@@ -118,7 +172,7 @@ TEST(FailureInjectionTest, MalformedRowInTextTableFailsScan) {
 
 TEST(FailureInjectionTest, CorruptGfuValueFailsLookup) {
   ScopedDfs dfs("fi_gfu");
-  auto store = std::make_shared<kv::MemKv>();
+  auto store = OpenTestStore(dfs.get());
   // Minimal table + index.
   table::TableDesc meter{"m",
                          table::Schema({{"x", table::DataType::kInt64},
@@ -163,7 +217,7 @@ TEST(FailureInjectionTest, MissingDataFileFailsSliceRead) {
 
 TEST(FailureInjectionTest, BadPolicyMetadataFailsOpen) {
   ScopedDfs dfs("fi_policy");
-  auto store = std::make_shared<kv::MemKv>();
+  auto store = OpenTestStore(dfs.get());
   ASSERT_OK(store->Put(core::kMetaPolicyKey, "not,a,policy"));
   ASSERT_OK(store->Put(core::kMetaAggsKey, ""));
   ASSERT_OK(store->Put(core::kMetaDataDirKey, "/x"));

@@ -32,8 +32,8 @@ TEST(IntegrationTest, DgfIndexOverLsmStoreSurvivesReopen) {
   ASSERT_OK_AND_ASSIGN(auto meter, workload::GenerateMeterTable(
                                        dfs.get(), "/w/meter", config));
 
-  // Build the index with its GFU pairs in a persistent LSM store (the
-  // HBase-shaped deployment) rather than the in-memory store.
+  // Build the index with its GFU pairs in the persistent LSM store (the
+  // HBase-shaped deployment), with a small memtable so the build flushes.
   kv::LsmKv::Options kv_options;
   kv_options.dfs = dfs.get();
   kv_options.dir = "/index/meter";

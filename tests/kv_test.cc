@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "kv/lsm_kv.h"
-#include "kv/mem_kv.h"
 #include "kv/sstable.h"
 #include "tests/test_util.h"
 
@@ -18,38 +17,29 @@ namespace {
 
 using ::dgf::testing::ScopedDfs;
 
-// ---------- Shared conformance suite over both KvStore implementations ----
+// ---------- KvStore conformance suite ----------
 
-enum class StoreKind { kMem, kLsm };
+// A fresh LsmKv with a tiny memtable, so every case crosses flushes,
+// multi-run reads and compactions.
+class KvConformanceTest : public ::testing::Test {
+ protected:
+  KvConformanceTest() {
+    LsmKv::Options options;
+    options.dfs = dfs_.get();
+    options.dir = "/kv";
+    options.memtable_flush_bytes = 256;
+    options.max_runs = 3;
+    auto store = LsmKv::Open(options);
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    if (store.ok()) store_ = std::move(*store);
+  }
 
-struct StoreFixture {
-  std::unique_ptr<ScopedDfs> dfs;
-  std::unique_ptr<KvStore> store;
+  ScopedDfs dfs_{"kv"};
+  std::unique_ptr<KvStore> store_;
 };
 
-StoreFixture MakeStore(StoreKind kind, const std::string& tag) {
-  StoreFixture fixture;
-  if (kind == StoreKind::kMem) {
-    fixture.store = std::make_unique<MemKv>();
-    return fixture;
-  }
-  fixture.dfs = std::make_unique<ScopedDfs>("kv_" + tag);
-  LsmKv::Options options;
-  options.dfs = fixture.dfs->get();
-  options.dir = "/kv";
-  options.memtable_flush_bytes = 256;  // tiny: force multi-run behaviour
-  options.max_runs = 3;
-  auto store = LsmKv::Open(options);
-  EXPECT_TRUE(store.ok()) << store.status().ToString();
-  fixture.store = std::move(*store);
-  return fixture;
-}
-
-class KvConformanceTest : public ::testing::TestWithParam<StoreKind> {};
-
-TEST_P(KvConformanceTest, PutGetOverwrite) {
-  auto fixture = MakeStore(GetParam(), "pgo");
-  auto& store = *fixture.store;
+TEST_F(KvConformanceTest, PutGetOverwrite) {
+  KvStore& store = *store_;
   ASSERT_OK(store.Put("a", "1"));
   ASSERT_OK(store.Put("b", "2"));
   ASSERT_OK(store.Put("a", "3"));
@@ -58,9 +48,8 @@ TEST_P(KvConformanceTest, PutGetOverwrite) {
   EXPECT_TRUE(store.Get("c").status().IsNotFound());
 }
 
-TEST_P(KvConformanceTest, DeleteHidesKey) {
-  auto fixture = MakeStore(GetParam(), "del");
-  auto& store = *fixture.store;
+TEST_F(KvConformanceTest, DeleteHidesKey) {
+  KvStore& store = *store_;
   ASSERT_OK(store.Put("k", "v"));
   ASSERT_OK(store.Delete("k"));
   EXPECT_TRUE(store.Get("k").status().IsNotFound());
@@ -68,9 +57,8 @@ TEST_P(KvConformanceTest, DeleteHidesKey) {
   EXPECT_EQ(*store.Get("k"), "v2");
 }
 
-TEST_P(KvConformanceTest, IteratorScansInOrder) {
-  auto fixture = MakeStore(GetParam(), "scan");
-  auto& store = *fixture.store;
+TEST_F(KvConformanceTest, IteratorScansInOrder) {
+  KvStore& store = *store_;
   for (int i = 99; i >= 0; --i) {
     ASSERT_OK(store.Put(StringPrintf("key%03d", i), std::to_string(i)));
   }
@@ -85,9 +73,8 @@ TEST_P(KvConformanceTest, IteratorScansInOrder) {
   EXPECT_EQ(count, 100);
 }
 
-TEST_P(KvConformanceTest, SeekFindsLowerBound) {
-  auto fixture = MakeStore(GetParam(), "seek");
-  auto& store = *fixture.store;
+TEST_F(KvConformanceTest, SeekFindsLowerBound) {
+  KvStore& store = *store_;
   ASSERT_OK(store.Put("b", "1"));
   ASSERT_OK(store.Put("d", "2"));
   ASSERT_OK(store.Put("f", "3"));
@@ -102,9 +89,8 @@ TEST_P(KvConformanceTest, SeekFindsLowerBound) {
   EXPECT_FALSE(it->Valid());
 }
 
-TEST_P(KvConformanceTest, CountMatchesLiveKeys) {
-  auto fixture = MakeStore(GetParam(), "count");
-  auto& store = *fixture.store;
+TEST_F(KvConformanceTest, CountMatchesLiveKeys) {
+  KvStore& store = *store_;
   for (int i = 0; i < 50; ++i) {
     ASSERT_OK(store.Put("k" + std::to_string(i), "v"));
   }
@@ -114,9 +100,8 @@ TEST_P(KvConformanceTest, CountMatchesLiveKeys) {
   EXPECT_EQ(*store.Count(), 40u);
 }
 
-TEST_P(KvConformanceTest, RandomizedAgainstStdMap) {
-  auto fixture = MakeStore(GetParam(), "rand");
-  auto& store = *fixture.store;
+TEST_F(KvConformanceTest, RandomizedAgainstStdMap) {
+  KvStore& store = *store_;
   std::map<std::string, std::string> model;
   Random rng(2024);
   for (int op = 0; op < 2000; ++op) {
@@ -153,9 +138,8 @@ TEST_P(KvConformanceTest, RandomizedAgainstStdMap) {
   EXPECT_EQ(want, model.end());
 }
 
-TEST_P(KvConformanceTest, MultiGetMixedKeys) {
-  auto fixture = MakeStore(GetParam(), "mget");
-  auto& store = *fixture.store;
+TEST_F(KvConformanceTest, MultiGetMixedKeys) {
+  KvStore& store = *store_;
   for (int i = 0; i < 100; ++i) {
     ASSERT_OK(store.Put(StringPrintf("key%03d", i), "v" + std::to_string(i)));
   }
@@ -173,14 +157,12 @@ TEST_P(KvConformanceTest, MultiGetMixedKeys) {
   EXPECT_EQ(*results[5], "v7");
 }
 
-TEST_P(KvConformanceTest, MultiGetEmptyBatch) {
-  auto fixture = MakeStore(GetParam(), "mget0");
-  EXPECT_TRUE(fixture.store->MultiGet({}).empty());
+TEST_F(KvConformanceTest, MultiGetEmptyBatch) {
+  EXPECT_TRUE(store_->MultiGet({}).empty());
 }
 
-TEST_P(KvConformanceTest, MultiGetMatchesGetRandomized) {
-  auto fixture = MakeStore(GetParam(), "mgetr");
-  auto& store = *fixture.store;
+TEST_F(KvConformanceTest, MultiGetMatchesGetRandomized) {
+  KvStore& store = *store_;
   std::map<std::string, std::string> model;
   Random rng(77);
   for (int op = 0; op < 1500; ++op) {
@@ -208,13 +190,6 @@ TEST_P(KvConformanceTest, MultiGetMatchesGetRandomized) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllStores, KvConformanceTest,
-                         ::testing::Values(StoreKind::kMem, StoreKind::kLsm),
-                         [](const auto& info) {
-                           return info.param == StoreKind::kMem ? "MemKv"
-                                                                : "LsmKv";
-                         });
 
 // ---------- SSTable-specific tests ----------
 

@@ -15,8 +15,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -32,6 +34,7 @@
 #include "server/query_service.h"
 #include "testing/differential.h"
 #include "testing/shard_sweep.h"
+#include "tests/test_util.h"
 
 namespace dgf::obs {
 namespace {
@@ -375,6 +378,48 @@ TEST_F(HttpExporterTest, ErrorsAreHttpNotCrashes) {
   auto health = HttpGet(exporter_->port(), "/healthz");
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   EXPECT_EQ(health->status_code, 200);
+}
+
+size_t OpenFdCount() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/fd"),
+      std::filesystem::directory_iterator()));
+}
+
+TEST_F(HttpExporterTest, ShutdownLeavesSocketsItDoesNotOwnAlone) {
+  const size_t fds_before = OpenFdCount();
+  auto health = HttpGet(exporter_->port(), "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  // Wait for the handler to close its end, so the socketpair below is likely
+  // to get the number the scrape's connection had.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (OpenFdCount() > fds_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  exporter_->Shutdown();
+  const char sent = 'x';
+  EXPECT_EQ(::send(pair[0], &sent, 1, MSG_NOSIGNAL), 1);
+  char got = 0;
+  EXPECT_EQ(::recv(pair[1], &got, 1, MSG_DONTWAIT), 1);
+  EXPECT_EQ(got, 'x');
+  ::close(pair[0]);
+  ::close(pair[1]);
+}
+
+TEST_F(HttpExporterTest, FinishedScrapesReleaseTheirThreads) {
+  auto scrape = [&] {
+    auto health = HttpGet(exporter_->port(), "/healthz");
+    EXPECT_TRUE(health.ok()) << health.status().ToString();
+  };
+  // Warm-up: the thread stack cache and malloc arenas settle.
+  testing::RunConnectionCycles(20, scrape);
+  const size_t before = testing::MappedRegionCount();
+  testing::RunConnectionCycles(100, scrape);
+  EXPECT_LT(testing::MappedRegionCount(), before + 20);
 }
 
 TEST_F(HttpExporterTest, ShutdownIsIdempotentAndStopsServing) {

@@ -5,12 +5,12 @@
 #include "common/random.h"
 #include "dgf/dgf_input_format.h"
 #include "dgf/partitioned_dgf.h"
-#include "kv/mem_kv.h"
 #include "tests/test_util.h"
 
 namespace dgf::core {
 namespace {
 
+using ::dgf::testing::OpenTestStore;
 using ::dgf::testing::ScopedDfs;
 using table::DataType;
 using table::Schema;
@@ -58,8 +58,8 @@ World MakeWorld(const std::string& tag) {
   base.data_dir = "/w/meter_dgf";
   auto index = PartitionedDgfIndex::Build(
       world.dfs->get(), *world.table, base,
-      [](const std::string&) -> Result<std::shared_ptr<kv::KvStore>> {
-        return std::shared_ptr<kv::KvStore>(std::make_shared<kv::MemKv>());
+      [&](const std::string& dir) -> Result<std::shared_ptr<kv::KvStore>> {
+        return OpenTestStore(world.dfs->get(), "/kv" + dir);
       });
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   world.index = std::move(*index);
@@ -90,8 +90,8 @@ TEST(PartitionedDgfTest, RejectsPartitionColumnAsGridDimension) {
   base.data_dir = "/w/meter_dgf2";
   auto bad = PartitionedDgfIndex::Build(
       world.dfs->get(), *world.table, base,
-      [](const std::string&) -> Result<std::shared_ptr<kv::KvStore>> {
-        return std::shared_ptr<kv::KvStore>(std::make_shared<kv::MemKv>());
+      [&](const std::string& dir) -> Result<std::shared_ptr<kv::KvStore>> {
+        return OpenTestStore(world.dfs->get(), "/kv" + dir);
       });
   EXPECT_TRUE(bad.status().IsInvalidArgument());
 }

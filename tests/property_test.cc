@@ -10,13 +10,13 @@
 #include "common/random.h"
 #include "dgf/dgf_builder.h"
 #include "dgf/dgf_input_format.h"
-#include "kv/mem_kv.h"
 #include "table/text_format.h"
 #include "tests/test_util.h"
 
 namespace dgf::core {
 namespace {
 
+using ::dgf::testing::OpenTestStore;
 using ::dgf::testing::ScopedDfs;
 using table::DataType;
 using table::Schema;
@@ -60,7 +60,7 @@ TEST_P(PolicySweepTest, AggregationEqualsBruteForceUnderAnyPolicy) {
     ASSERT_OK(writer->Close());
   }
 
-  auto store = std::make_shared<kv::MemKv>();
+  auto store = OpenTestStore(dfs.get());
   DgfBuilder::Options options;
   options.dims = {
       {"userId", DataType::kInt64, 0, static_cast<double>(user_interval)},
@@ -146,7 +146,7 @@ TEST_P(PolicySweepTest, PartialQueriesCompleteUnspecifiedDimensions) {
     ASSERT_OK(writer->Close());
   }
 
-  auto store = std::make_shared<kv::MemKv>();
+  auto store = OpenTestStore(dfs.get());
   DgfBuilder::Options options;
   options.dims = {
       {"userId", DataType::kInt64, 0, static_cast<double>(user_interval)},

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/predicate.h"
@@ -17,6 +16,7 @@
 namespace dgf::query {
 namespace {
 
+using ::dgf::testing::OpenTestStore;
 using ::dgf::testing::ScopedDfs;
 using table::DataType;
 using table::Schema;
@@ -226,7 +226,7 @@ World MakeWorld(const std::string& tag) {
   EXPECT_TRUE(users.ok());
   world.users = *users;
 
-  world.store = std::make_shared<kv::MemKv>();
+  world.store = OpenTestStore(world.dfs->get());
   core::DgfBuilder::Options dgf_options;
   dgf_options.dims = {{"userId", DataType::kInt64, 0, 50},
                       {"regionId", DataType::kInt64, 0, 1},

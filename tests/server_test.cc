@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -28,11 +33,14 @@
 #include "server/wire.h"
 #include "table/schema.h"
 #include "testing/differential.h"
+#include "tests/test_util.h"
 #include "workload/meter_gen.h"
 
 namespace dgf::server {
 namespace {
 
+using dgf::testing::MappedRegionCount;
+using dgf::testing::RunConnectionCycles;
 using dgf::testing::SeededWorld;
 
 // ---------------------------------------------------------------------------
@@ -333,6 +341,33 @@ TEST(ServerTest, QueriesMatchOracleAndStatsCount) {
   EXPECT_FALSE(bad->ok());
   auto after = (*client)->Ping();
   EXPECT_TRUE(after.ok() && after->ok());
+}
+
+TEST(ServerTest, ClosedConnectionsReleaseTheirThreads) {
+  auto harness = StartHarness(5);
+  ASSERT_TRUE(harness.ok()) << harness.status().ToString();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>((*harness)->server->port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  // Connect and half-close, sending nothing: one handler thread per cycle.
+  // The server closing its end (EOF here) shows the handler saw the close.
+  auto connect_and_close = [&] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    ::shutdown(fd, SHUT_WR);
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+    ::close(fd);
+  };
+  // Warm-up: the thread stack cache and malloc arenas settle.
+  RunConnectionCycles(20, connect_and_close);
+  const size_t before = MappedRegionCount();
+  RunConnectionCycles(100, connect_and_close);
+  EXPECT_LT(MappedRegionCount(), before + 20);
 }
 
 TEST(ServerTest, AdmissionRejectsWhenSaturated) {

@@ -7,7 +7,6 @@
 #include "dgf/dgf_builder.h"
 #include "dgf/dgf_input_format.h"
 #include "dgf/slice_optimizer.h"
-#include "kv/mem_kv.h"
 #include "query/executor.h"
 #include "table/table.h"
 #include "tests/test_util.h"
@@ -17,6 +16,7 @@
 namespace dgf::core {
 namespace {
 
+using ::dgf::testing::OpenTestStore;
 using ::dgf::testing::ScopedDfs;
 
 struct FragmentedWorld {
@@ -40,7 +40,7 @@ FragmentedWorld MakeFragmented(const std::string& tag) {
                                             world.config);
   EXPECT_TRUE(meter.ok());
   world.meter = *meter;
-  world.store = std::make_shared<kv::MemKv>();
+  world.store = OpenTestStore(world.dfs->get());
   DgfBuilder::Options build;
   build.dims = {{"userId", table::DataType::kInt64, 0, 40},
                 {"regionId", table::DataType::kInt64, 0, 1},

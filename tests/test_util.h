@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "fs/mini_dfs.h"
+#include "kv/lsm_kv.h"
 #include "testing/corruption.h"
 
 #define ASSERT_OK(expr)                                   \
@@ -75,6 +80,48 @@ class ScopedDfs {
   std::filesystem::path dir_;
   std::shared_ptr<fs::MiniDfs> dfs_;
 };
+
+/// Opens an index store on `dfs` under `dir`; null (after recording a test
+/// failure) when the open fails.
+inline std::shared_ptr<kv::KvStore> OpenTestStore(
+    const std::shared_ptr<fs::MiniDfs>& dfs, const std::string& dir = "/kv") {
+  auto store = kv::LsmKv::Open({.dfs = dfs, .dir = dir});
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return nullptr;
+  return std::move(*store);
+}
+
+/// Lines of /proc/self/maps. A thread that has exited but was never joined
+/// keeps its stack mapped, so this shows unreaped threads where the thread
+/// count does not.
+inline size_t MappedRegionCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+/// Runs `cycle` (one connection's life) `times` times. After each one it
+/// waits, up to 5 s, for the live thread count to fall back to what it was
+/// before the cycle, so a slow host cannot pile up handlers still running.
+inline void RunConnectionCycles(int times,
+                                const std::function<void()>& cycle) {
+  auto live_threads = [] {
+    return std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator());
+  };
+  for (int i = 0; i < times; ++i) {
+    const auto before = live_threads();
+    cycle();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (live_threads() > before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+}
 
 /// ASSERT-style wrappers over the shared corruption helpers
 /// (src/testing/corruption.h) for use inside TEST bodies.
