@@ -456,12 +456,13 @@ int Main(int argc, char** argv) {
                    "\"threads\": %d, \"ok\": %llu, \"rejected\": %llu, "
                    "\"wall_s\": %.3f, \"qps\": %.1f, \"p50_ms\": %.2f, "
                    "\"p95_ms\": %.2f, \"p99_ms\": %.2f, "
-                   "\"replica_bytes_written\": %llu}",
+                   "\"replica_bytes_written\": %llu, \"host_cpus\": %u}",
                    flags.shards, flags.replication, flags.threads,
                    static_cast<unsigned long long>(ok_count),
                    static_cast<unsigned long long>(rejected_count), elapsed,
                    qps, p50, p95, p99,
-                   static_cast<unsigned long long>(replica_bytes)));
+                   static_cast<unsigned long long>(replica_bytes),
+                   std::max(1u, std::thread::hardware_concurrency())));
   if (error_count > 0) {
     std::fprintf(stderr, "first error: %s\n", first_error.c_str());
     return 1;

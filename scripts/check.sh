@@ -2,7 +2,8 @@
 # Repo-wide verification with one line of PASS/FAIL per stage:
 # tier-1 build + ctest, the differential oracle smoke suite, an ASan/UBSan
 # pass that re-runs both the unit tests and the harness, and a TSan pass
-# that runs the concurrency stress tests plus the threaded differential.
+# that runs the concurrency stress tests, the process-pool tests, the
+# threaded differential and the build-equivalence sweep.
 # Both sanitizer passes also run the query-server suite (dgf_server_tests),
 # the observability suite (dgf_obs_tests), the shard-coordinator suite
 # (dgf_coord_tests), and the replication suite (dgf_replication_tests); a
@@ -77,7 +78,8 @@ fi
 stage "asan configure"   cmake -B build-asan -S . -DDGF_SANITIZE=ON
 stage "asan build"       cmake --build build-asan -j "$JOBS"
 stage "asan kv/dgf tests" ctest --test-dir build-asan -j "$JOBS" \
-  --output-on-failure -R 'Kv|Sstable|Lsm|Dgf|Slice|ColFormat|Difftest'
+  --output-on-failure \
+  -R 'Kv|Sstable|Lsm|Dgf|Slice|ColFormat|Difftest|ParallelFor|JobRunner'
 stage "asan difftest"    ./build-asan/src/dgf_difftest --seed=1 --queries=40
 stage "asan col fuzz"    ./build-asan/src/dgf_difftest --col-fuzz --seed=37
 stage "asan server tests" ./build-asan/tests/dgf_server_tests
@@ -90,14 +92,18 @@ stage "asan replication smoke" ./build-asan/src/dgf_difftest \
   --node-crash-sweep --seed=41 --seeds=1
 
 # ThreadSanitizer: concurrent readers vs appender/optimizer (the stress
-# tests) and the threaded differential against its sequential oracle. A
+# tests), the process pool's ParallelFor and the MiniMR jobs on it, the
+# threaded differential against its sequential oracle, and the
+# build-equivalence sweep, whose builder phases share the process pool. A
 # reported race fails the binary (TSan exits non-zero), which fails the
 # stage.
 stage "tsan configure"   cmake -B build-tsan -S . -DDGF_SANITIZE=TSAN
 stage "tsan build"       cmake --build build-tsan -j "$JOBS"
 stage "tsan stress tests" ctest --test-dir build-tsan -j "$JOBS" \
-  --output-on-failure -R 'ConcurrencyStress'
+  --output-on-failure -R 'ConcurrencyStress|ParallelFor|JobRunner'
 stage "tsan difftest"    ./build-tsan/src/dgf_difftest --threads=4 --seeds=tier1
+stage "tsan build sweep" ./build-tsan/src/dgf_difftest --build-sweep \
+  --count=2 --seed=3
 stage "tsan col fuzz"    ./build-tsan/src/dgf_difftest --col-fuzz --seed=37
 stage "tsan server tests" ./build-tsan/tests/dgf_server_tests
 stage "tsan obs tests"   ./build-tsan/tests/dgf_obs_tests

@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 namespace dgf {
 
@@ -29,11 +31,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -43,15 +40,67 @@ void ThreadPool::WorkerLoop() {
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
-    }
   }
+}
+
+ThreadPool& ProcessPool() {
+  static ThreadPool pool(static_cast<int>(
+      std::clamp(std::thread::hardware_concurrency(), 2u, 8u)));
+  return pool;
+}
+
+namespace {
+
+/// One ParallelFor's shared state. Helpers hold it by shared_ptr, so one the
+/// pool starts after the loop returned still finds it alive; it then claims
+/// no index and never touches `fn`, which lives on the caller's stack.
+struct ForLoop {
+  ForLoop(size_t n, const std::function<void(size_t)>* fn) : n(n), fn(fn) {}
+
+  /// Claims and runs indices until none is left unclaimed.
+  void Work() {
+    size_t ran = 0;
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      (*fn)(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(mu);
+    done += ran;
+    if (done == n) all_done.notify_all();
+  }
+
+  const size_t n;
+  const std::function<void(size_t)>* const fn;
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  std::condition_variable all_done;
+  size_t done = 0;  // guarded by mu
+};
+
+}  // namespace
+
+void ParallelFor(size_t n, int max_threads,
+                 const std::function<void(size_t)>& fn) {
+  if (n == 0) return;
+  if (max_threads <= 1 || n == 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ThreadPool& pool = ProcessPool();
+  const size_t helpers =
+      std::min({n - 1, static_cast<size_t>(max_threads) - 1,
+                static_cast<size_t>(pool.num_threads())});
+  auto loop = std::make_shared<ForLoop>(n, &fn);
+  for (size_t h = 0; h < helpers; ++h) {
+    pool.Submit([loop] { loop->Work(); });
+  }
+  loop->Work();
+  // Every index is claimed: wait for those still running on helpers.
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->all_done.wait(lock, [&] { return loop->done == loop->n; });
 }
 
 void ConnectionThreads::Start(std::function<void()> handler) {

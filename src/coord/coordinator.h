@@ -124,6 +124,9 @@ class Coordinator : public server::WireService {
 
   Result<std::unique_ptr<server::ServerClient>> Checkout(int shard);
   void Checkin(int shard, std::unique_ptr<server::ServerClient> client);
+  /// One shard's slice of an APPEND over a pooled connection.
+  Status AppendToShard(int shard, const std::string& table,
+                       const std::vector<std::string>& rows);
 
   /// `queued` was started at admission; its elapsed time when the fan-out
   /// worker picks the query up is the admission-wait span.

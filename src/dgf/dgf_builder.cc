@@ -222,33 +222,23 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
   result.num_reduce_tasks = num_writers;
   StageTimes& stages = result.stage_seconds;
 
-  // One pool serves every phase of the reorganization (shard, merge, slice
-  // write); WaitIdle() is the phase barrier. Reusing it keeps thread spawns
-  // off the per-flush cost of small append batches.
-  ThreadPool pool(threads);
+  // Every phase (shard, merge, slice write) is a ParallelFor on the process
+  // pool, so a small append batch's flush starts no thread.
 
   // ---- Shard phase: one task per split, no shared mutable state. ----
   std::vector<SplitShard> shards(splits.size());
   std::vector<double> shard_seconds(splits.size(), 0.0);
-  std::mutex error_mu;
-  Status first_error;
+  std::vector<Status> shard_status(splits.size());
   {
     ScopedStage stage(&stages, "shard");
-    for (size_t i = 0; i < splits.size(); ++i) {
-      pool.Submit([&, i] {
-        Stopwatch task_watch;
-        Status st = ShardSplit(dfs, input, splits[i], policy, dim_fields, aggs,
-                               &shards[i]);
-        shard_seconds[i] = task_watch.ElapsedSeconds();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-        }
-      });
-    }
-    pool.WaitIdle();
+    ParallelFor(splits.size(), threads, [&](size_t i) {
+      Stopwatch task_watch;
+      shard_status[i] = ShardSplit(dfs, input, splits[i], policy, dim_fields,
+                                   aggs, &shards[i]);
+      shard_seconds[i] = task_watch.ElapsedSeconds();
+    });
   }
-  DGF_RETURN_IF_ERROR(first_error);
+  for (const Status& st : shard_status) DGF_RETURN_IF_ERROR(st);
   DGF_CRASH_POINT("dgf.reorg.after_shard");
   result.local_task_seconds = shard_seconds;
 
@@ -369,15 +359,8 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
       }
     }
     std::vector<std::vector<std::pair<std::string, KeyTotals>>> merged(ranges);
-    if (ranges == 1) {
-      merged[0] = merge_ranges(cuts[0], cuts[1]);
-    } else {
-      for (size_t p = 0; p < ranges; ++p) {
-        pool.Submit(
-            [&, p] { merged[p] = merge_ranges(cuts[p], cuts[p + 1]); });
-      }
-      pool.WaitIdle();
-    }
+    ParallelFor(ranges, threads,
+                [&](size_t p) { merged[p] = merge_ranges(cuts[p], cuts[p + 1]); });
     size_t union_size = 0;
     for (const auto& part : merged) union_size += part.size();
     keys.reserve(union_size);
@@ -434,32 +417,25 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
       }
       bounds[static_cast<size_t>(num_writers)] = keys.size();
     }
-    for (int w = 0; w < num_writers; ++w) {
-      const size_t begin = bounds[static_cast<size_t>(w)];
-      const size_t end = bounds[static_cast<size_t>(w) + 1];
-      if (begin == end) continue;  // no file for an empty partition
+    std::vector<Status> writer_status(static_cast<size_t>(num_writers));
+    ParallelFor(static_cast<size_t>(num_writers), threads, [&](size_t w) {
+      const size_t begin = bounds[w];
+      const size_t end = bounds[w + 1];
+      if (begin == end) return;  // no file for an empty partition
       for (size_t k = begin; k < end; ++k) {
-        partition_bytes[static_cast<size_t>(w)] += totals[k].bytes;
+        partition_bytes[w] += totals[k].bytes;
       }
       const std::string path =
           data_dir + "/" +
-          StringPrintf("part-b%03d-r%05d.%s", batch_id, w,
+          StringPrintf("part-b%03d-r%05zu.%s", batch_id, w,
                        table::FileFormatExtension(data_format));
-      pool.Submit([&, w, begin, end, path] {
-        Stopwatch task_watch;
-        Status st =
-            WriteSlicePartition(dfs, schema, aggs, path, data_format, keys,
-                                begin, end, existing, shards,
-                                &outputs[static_cast<size_t>(w)]);
-        writer_seconds[static_cast<size_t>(w)] = task_watch.ElapsedSeconds();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-        }
-      });
-    }
-    pool.WaitIdle();
-    DGF_RETURN_IF_ERROR(first_error);
+      Stopwatch task_watch;
+      writer_status[w] = WriteSlicePartition(dfs, schema, aggs, path,
+                                             data_format, keys, begin, end,
+                                             existing, shards, &outputs[w]);
+      writer_seconds[w] = task_watch.ElapsedSeconds();
+    });
+    for (const Status& st : writer_status) DGF_RETURN_IF_ERROR(st);
   }
   DGF_CRASH_POINT("dgf.reorg.after_slices");
 

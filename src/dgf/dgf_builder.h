@@ -55,8 +55,9 @@ class DgfBuilder {
     exec::JobRunner::Options job;
     /// Split size for reading the base table (0 = DFS block size).
     uint64_t split_size = 0;
-    /// Local worker threads for the build pipeline (shard + slice-writer
-    /// tasks). 0 = job.worker_threads. The output is result- and
+    /// At most this many threads, the caller included, run each phase of
+    /// the build pipeline (shard, merge and slice-writer tasks on the
+    /// process pool). 0 = job.worker_threads. The output is result- and
     /// byte-equivalent for every value: sharding is per input split, writer
     /// partitions are cut from the sorted key union by record count, and all
     /// merges run in split order — none of which depends on scheduling.

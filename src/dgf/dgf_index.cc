@@ -1,13 +1,10 @@
 #include "dgf/dgf_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <limits>
 #include <mutex>
 #include <span>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -34,15 +31,6 @@ constexpr size_t kMultiGetBatch = 256;
 // which a wave is decoded serially (fan-out overhead beats the win).
 constexpr size_t kScanWaveSize = 8192;
 constexpr size_t kParallelDecodeThreshold = 256;
-
-/// Lazily started pool shared by every index's large-box decode. Waves use a
-/// local completion latch rather than WaitIdle() so concurrent lookups can
-/// share the workers without barriering each other.
-ThreadPool& DecodePool() {
-  static ThreadPool pool(static_cast<int>(
-      std::clamp(std::thread::hardware_concurrency(), 2u, 8u)));
-  return pool;
-}
 
 }  // namespace
 
@@ -503,42 +491,24 @@ Result<DgfIndex::LookupResult> DgfIndex::Lookup(const Snapshot& snap,
     for (size_t i = 0; i < wave.size(); ++i) {
       if (!wave[i].cached) miss.push_back(i);
     }
-    if (miss.size() >= kParallelDecodeThreshold) {
-      ThreadPool& pool = DecodePool();
-      const int num_tasks = pool.num_threads();
-      std::atomic<size_t> next{0};
-      std::vector<Status> statuses(static_cast<size_t>(num_tasks));
-      std::mutex done_mu;
-      std::condition_variable done_cv;
-      int active = num_tasks;
-      for (int t = 0; t < num_tasks; ++t) {
-        pool.Submit([&, t] {
-          for (size_t i = next.fetch_add(1); i < miss.size();
-               i = next.fetch_add(1)) {
-            ScanEntry& entry = wave[miss[i]];
-            auto decoded = GfuValue::Decode(entry.raw_value);
-            if (!decoded.ok()) {
-              statuses[static_cast<size_t>(t)] = decoded.status();
-              break;
-            }
-            entry.value =
-                std::make_shared<const GfuValue>(std::move(*decoded));
-          }
-          std::lock_guard<std::mutex> lock(done_mu);
-          if (--active == 0) done_cv.notify_all();
-        });
-      }
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] { return active == 0; });
-      for (const Status& st : statuses) DGF_RETURN_IF_ERROR(st);
-    } else {
-      for (size_t i : miss) {
-        ScanEntry& entry = wave[i];
-        DGF_ASSIGN_OR_RETURN(GfuValue decoded,
-                             GfuValue::Decode(entry.raw_value));
-        entry.value = std::make_shared<const GfuValue>(std::move(decoded));
-      }
-    }
+    // A large wave decodes on the process pool. The caller helps, so a
+    // lookup inside a map task never waits for a free pool thread.
+    std::vector<Status> statuses(miss.size());
+    ParallelFor(miss.size(),
+                miss.size() >= kParallelDecodeThreshold
+                    ? ProcessPool().num_threads()
+                    : 1,
+                [&](size_t i) {
+                  ScanEntry& entry = wave[miss[i]];
+                  auto decoded = GfuValue::Decode(entry.raw_value);
+                  if (!decoded.ok()) {
+                    statuses[i] = decoded.status();
+                    return;
+                  }
+                  entry.value =
+                      std::make_shared<const GfuValue>(std::move(*decoded));
+                });
+    for (const Status& st : statuses) DGF_RETURN_IF_ERROR(st);
     for (ScanEntry& entry : wave) {
       if (!entry.cached) {
         gfu_cache_.Put(entry.encoded_key, snap.epoch, entry.value);

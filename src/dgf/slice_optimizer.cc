@@ -151,23 +151,12 @@ Result<SliceOptimizer::Stats> SliceOptimizer::Optimize(
     }
     tasks.back().end = entries.size();
   }
-  {
-    ThreadPool pool(threads > 0 ? threads : 1);
-    std::mutex error_mu;
-    Status first_error;
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      pool.Submit([&, t] {
-        Status st =
-            RewriteFile(dfs, index->schema(), format, &entries, &tasks[t]);
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-        }
-      });
-    }
-    pool.WaitIdle();
-    DGF_RETURN_IF_ERROR(first_error);
-  }
+  std::vector<Status> rewrite_status(tasks.size());
+  ParallelFor(tasks.size(), threads, [&](size_t t) {
+    rewrite_status[t] =
+        RewriteFile(dfs, index->schema(), format, &entries, &tasks[t]);
+  });
+  for (const Status& st : rewrite_status) DGF_RETURN_IF_ERROR(st);
   for (const RewriteTask& task : tasks) {
     stats.bytes_rewritten += task.bytes_rewritten;
   }

@@ -36,8 +36,9 @@ class SliceOptimizer {
   };
 
   /// Rewrites `index`'s data files; output files rotate at
-  /// `target_file_bytes`. With `threads` > 1 the output files are rewritten
-  /// by a worker pool, one task per file: the entry->file assignment is cut
+  /// `target_file_bytes`. With `threads` > 1 up to that many threads (the
+  /// caller included) rewrite the output files on the process pool, one
+  /// task per file: the entry->file assignment is cut
   /// deterministically from the key-ordered entry list before any writing
   /// starts, so the rewritten layout is identical for every thread count.
   static Result<Stats> Optimize(DgfIndex* index,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <atomic>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -68,27 +67,15 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
   for (const auto& split : splits) {
     contexts.emplace_back(new MapContext(split));
   }
-  std::mutex error_mu;
-  Status first_error;
   std::vector<double> map_task_seconds(splits.size(), 0.0);
-  {
-    ThreadPool pool(options_.worker_threads);
-    for (size_t i = 0; i < splits.size(); ++i) {
-      MapContext* ctx = contexts[i].get();
-      pool.Submit([&, ctx, i] {
-        Stopwatch task_watch;
-        auto mapper = mapper_factory();
-        Status st = mapper->Map(ctx->split(), ctx);
-        map_task_seconds[i] = task_watch.ElapsedSeconds();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-        }
-      });
-    }
-    pool.WaitIdle();
-  }
-  DGF_RETURN_IF_ERROR(first_error);
+  std::vector<Status> map_status(splits.size());
+  ParallelFor(splits.size(), options_.worker_threads, [&](size_t i) {
+    Stopwatch task_watch;
+    auto mapper = mapper_factory();
+    map_status[i] = mapper->Map(contexts[i]->split(), contexts[i].get());
+    map_task_seconds[i] = task_watch.ElapsedSeconds();
+  });
+  for (const Status& st : map_status) DGF_RETURN_IF_ERROR(st);
   result.local_task_seconds = std::move(map_task_seconds);
 
   // Aggregate per-task accounting into counters and the cost model.
@@ -138,36 +125,29 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
     using Partition = std::map<std::string, std::vector<std::string>>;
     std::vector<std::vector<Partition>> local(contexts.size());
     std::vector<Partition> partitions(static_cast<size_t>(num_reducers));
-    {
-      ThreadPool pool(options_.worker_threads);
-      for (size_t i = 0; i < contexts.size(); ++i) {
-        pool.Submit([&, i] {
-          MapContext* ctx = contexts[i].get();
-          local[i].resize(static_cast<size_t>(num_reducers));
-          for (auto& [key, value] : ctx->emitted_) {
-            const auto part = static_cast<size_t>(
-                HashKey(key) % static_cast<uint64_t>(num_reducers));
-            local[i][part][std::move(key)].push_back(std::move(value));
-          }
-          ctx->emitted_.clear();
-        });
+    ParallelFor(contexts.size(), options_.worker_threads, [&](size_t i) {
+      MapContext* ctx = contexts[i].get();
+      local[i].resize(static_cast<size_t>(num_reducers));
+      for (auto& [key, value] : ctx->emitted_) {
+        const auto part = static_cast<size_t>(
+            HashKey(key) % static_cast<uint64_t>(num_reducers));
+        local[i][part][std::move(key)].push_back(std::move(value));
       }
-      pool.WaitIdle();
-      for (int r = 0; r < num_reducers; ++r) {
-        pool.Submit([&, r] {
-          Partition& merged = partitions[static_cast<size_t>(r)];
-          for (size_t i = 0; i < local.size(); ++i) {
-            for (auto& [key, values] : local[i][static_cast<size_t>(r)]) {
-              auto& dst = merged[key];
-              dst.insert(dst.end(), std::make_move_iterator(values.begin()),
-                         std::make_move_iterator(values.end()));
-            }
-            local[i][static_cast<size_t>(r)].clear();
-          }
-        });
-      }
-      pool.WaitIdle();
-    }
+      ctx->emitted_.clear();
+    });
+    ParallelFor(static_cast<size_t>(num_reducers), options_.worker_threads,
+                [&](size_t r) {
+                  Partition& merged = partitions[r];
+                  for (size_t i = 0; i < local.size(); ++i) {
+                    for (auto& [key, values] : local[i][r]) {
+                      auto& dst = merged[key];
+                      dst.insert(dst.end(),
+                                 std::make_move_iterator(values.begin()),
+                                 std::make_move_iterator(values.end()));
+                    }
+                    local[i][r].clear();
+                  }
+                });
     local.clear();
 
     std::vector<std::unique_ptr<ReduceContext>> reduce_contexts;
@@ -182,33 +162,25 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
     }
     std::vector<double> reduce_task_seconds(static_cast<size_t>(num_reducers),
                                             0.0);
-    {
-      ThreadPool pool(options_.worker_threads);
-      for (int r = 0; r < num_reducers; ++r) {
-        pool.Submit([&, r] {
-          Stopwatch task_watch;
-          auto reducer = reducer_factory(r);
-          ReduceContext* ctx = reduce_contexts[static_cast<size_t>(r)].get();
-          Status st = reducer->Start(ctx);
-          if (st.ok()) {
-            for (const auto& [key, values] : partitions[static_cast<size_t>(r)]) {
-              st = reducer->Reduce(key, values, ctx);
-              if (!st.ok()) break;
-              ctx->counters().Add(kCounterReduceInputKeys, 1);
-            }
-          }
-          if (st.ok()) st = reducer->Finish(ctx);
-          reduce_task_seconds[static_cast<size_t>(r)] =
-              task_watch.ElapsedSeconds();
-          if (!st.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (first_error.ok()) first_error = st;
-          }
-        });
-      }
-      pool.WaitIdle();
-    }
-    DGF_RETURN_IF_ERROR(first_error);
+    std::vector<Status> reduce_status(static_cast<size_t>(num_reducers));
+    ParallelFor(static_cast<size_t>(num_reducers), options_.worker_threads,
+                [&](size_t r) {
+                  Stopwatch task_watch;
+                  auto reducer = reducer_factory(static_cast<int>(r));
+                  ReduceContext* ctx = reduce_contexts[r].get();
+                  Status st = reducer->Start(ctx);
+                  if (st.ok()) {
+                    for (const auto& [key, values] : partitions[r]) {
+                      st = reducer->Reduce(key, values, ctx);
+                      if (!st.ok()) break;
+                      ctx->counters().Add(kCounterReduceInputKeys, 1);
+                    }
+                  }
+                  if (st.ok()) st = reducer->Finish(ctx);
+                  reduce_task_seconds[r] = task_watch.ElapsedSeconds();
+                  reduce_status[r] = std::move(st);
+                });
+    for (const Status& st : reduce_status) DGF_RETURN_IF_ERROR(st);
     result.local_task_seconds.insert(result.local_task_seconds.end(),
                                      reduce_task_seconds.begin(),
                                      reduce_task_seconds.end());

@@ -159,14 +159,16 @@ struct JobResult {
 /// Deterministic multi-threaded MapReduce engine over MiniDfs splits.
 ///
 /// A job = one map task per input split, an in-memory sort/shuffle, and
-/// `num_reducers` reduce tasks. Tasks run on a thread pool; the simulated
-/// duration is computed by replaying per-task costs through the
-/// ClusterConfig's slot model (SimulateMakespan).
+/// `num_reducers` reduce tasks. Each phase's tasks run through ParallelFor on
+/// the process pool (common/thread_pool.h); the simulated duration is
+/// computed by replaying per-task costs through the ClusterConfig's slot
+/// model (SimulateMakespan).
 class JobRunner {
  public:
   struct Options {
     ClusterConfig cluster;
-    /// Local worker threads actually executing tasks.
+    /// At most this many threads run one phase's tasks, the calling thread
+    /// included (1 runs the job inline on the caller).
     int worker_threads = 4;
     int num_reducers = 0;  // 0 = map-only job
   };

@@ -84,6 +84,7 @@ Result<std::unique_ptr<ServerClient>> ServerClient::ConnectTcp(
     connected = Status::IOError(std::string("connect: ") +
                                 std::strerror(errno));
   }
+  if (connected.ok()) connected = SetNoDelay(fd);
   if (!connected.ok()) {
     ::close(fd);
     return Status::IOError("connect " + host + ":" + std::to_string(port) +

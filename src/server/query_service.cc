@@ -177,7 +177,8 @@ void QueryService::RunQuery(uint64_t request_id, std::string sql,
   } else {
     c_failed_->Increment();
   }
-  latency_->Observe(exec_seconds);
+  // Served latency: admission wait through completion.
+  latency_->Observe(queued.ElapsedSeconds());
   {
     std::lock_guard<std::mutex> lock(mu_);
     tokens_.erase(request_id);

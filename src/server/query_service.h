@@ -54,7 +54,8 @@ class QueryService : public WireService {
     /// Admitted-but-not-running queries beyond that; one more is
     /// Unavailable (the structured backpressure signal).
     int max_pending = 16;
-    /// Threads inside each query's scan job.
+    /// At most this many threads, the query's own worker included, run
+    /// each query's scan job (on the process pool).
     int query_worker_threads = 2;
     uint64_t split_size = 0;
     /// Registry the service's metrics land in. Null gives the service a

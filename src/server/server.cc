@@ -102,6 +102,10 @@ void Server::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listen socket closed or broken
     }
+    if (options_.unix_path.empty() && !SetNoDelay(fd).ok()) {
+      ::close(fd);
+      continue;
+    }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,8 +1,11 @@
 #include "server/wire.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 
 #include <algorithm>
 #include <bit>
@@ -345,20 +348,43 @@ Status WriteFrame(int fd, std::string_view body) {
   if (body.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("frame too large");
   }
+  // Header and body leave in one sendmsg: a separate header send followed
+  // by the body is a write-write-read that Nagle plus delayed ACK stall
+  // (measured at 40-88 ms per frame on loopback). Two iovecs spare copying
+  // the body; a partial write resumes where the kernel stopped.
   std::string header;
   PutFixed32(&header, static_cast<uint32_t>(body.size()));
-  for (std::string_view chunk : {std::string_view(header), body}) {
-    size_t sent = 0;
-    while (sent < chunk.size()) {
-      // MSG_NOSIGNAL: a peer that hung up yields EPIPE, not SIGPIPE.
-      const ssize_t n = ::send(fd, chunk.data() + sent, chunk.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError(std::string("send: ") + std::strerror(errno));
-      }
-      sent += static_cast<size_t>(n);
+  iovec iov[2] = {{header.data(), header.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a peer that hung up yields EPIPE, not SIGPIPE.
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string("send: ") + std::strerror(errno));
     }
+    while (msg.msg_iovlen > 0 &&
+           static_cast<size_t>(n) >= msg.msg_iov->iov_len) {
+      n -= static_cast<ssize_t>(msg.msg_iov->iov_len);
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + n;
+      msg.msg_iov->iov_len -= static_cast<size_t>(n);
+    }
+  }
+  return Status::OK();
+}
+
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return Status::IOError(std::string("setsockopt(TCP_NODELAY): ") +
+                           std::strerror(errno));
   }
   return Status::OK();
 }

@@ -109,12 +109,18 @@ Status ResponseStatus(const Response& response);
 Response MakeErrorResponse(Opcode opcode, uint64_t request_id,
                            const Status& status);
 
-/// Blocking frame I/O over a connected socket. Writes loop over partial
-/// sends (EPIPE surfaces as IOError, never SIGPIPE); reads loop over partial
-/// recvs. `ReadFrame` returns false on a clean EOF at a frame boundary and
-/// Corruption when the peer dies mid-frame.
+/// Blocking frame I/O over a connected socket. A frame's header and body
+/// go out in one sendmsg, resumed over partial writes (EPIPE surfaces as
+/// IOError, never SIGPIPE); reads loop over partial recvs. `ReadFrame`
+/// returns false on a clean EOF at a frame boundary and Corruption when the
+/// peer dies mid-frame.
 Status WriteFrame(int fd, std::string_view body);
 Result<bool> ReadFrame(int fd, std::string* body);
+
+/// Sets TCP_NODELAY on a TCP socket, so a small frame is sent at once
+/// instead of waiting behind Nagle for the ACK of the previous one. Both
+/// ends of every wire TCP connection set it.
+Status SetNoDelay(int fd);
 
 /// Polls `fd` for readability: true when a byte (or EOF) is ready within
 /// `timeout_seconds`, false on timeout. Consumes nothing, so a timed-out

@@ -124,6 +124,10 @@ Result<std::unique_ptr<World>> BuildWorld(uint64_t seed, int worker_threads) {
   compact_build.dims = {"regionId", "time"};
   compact_build.index_dir = "/w/idx_compact";
   compact_build.split_size = 16384;
+  // The index lookups copy their build's job options: a one-thread world
+  // must read its index files on one thread too, or the fault sweep's
+  // read-ordinal schedule stops replaying.
+  compact_build.job.worker_threads = worker_threads;
   DGF_ASSIGN_OR_RETURN(
       world->compact,
       index::CompactIndex::Build(world->dfs, world->meter, compact_build));
@@ -132,6 +136,7 @@ Result<std::unique_ptr<World>> BuildWorld(uint64_t seed, int worker_threads) {
   bitmap_build.dims = {"regionId", "time"};
   bitmap_build.index_dir = "/w/idx_bitmap";
   bitmap_build.split_size = 16384;
+  bitmap_build.job.worker_threads = worker_threads;
   DGF_ASSIGN_OR_RETURN(
       world->bitmap,
       index::BitmapIndex::Build(world->dfs, world->meter, bitmap_build));
@@ -141,6 +146,7 @@ Result<std::unique_ptr<World>> BuildWorld(uint64_t seed, int worker_threads) {
   agg_build.index_dir = "/w/idx_agg";
   agg_build.index_format = table::FileFormat::kText;
   agg_build.split_size = 16384;
+  agg_build.job.worker_threads = worker_threads;
   DGF_ASSIGN_OR_RETURN(
       world->aggregate,
       index::AggregateIndex::Build(world->dfs, world->meter, agg_build));
@@ -796,7 +802,12 @@ core::DgfIndex* SeededWorld::dgf_text() const {
 }
 
 Result<query::QueryResult> SeededWorld::Oracle(const query::Query& q) const {
-  return world_->base_exec->Execute(q, AccessPath::kFullScan);
+  return Execute(q, AccessPath::kFullScan);
+}
+
+Result<query::QueryResult> SeededWorld::Execute(const query::Query& q,
+                                                AccessPath path) const {
+  return world_->base_exec->Execute(q, path);
 }
 
 query::Query SeededWorld::GenerateQuery(uint64_t seed, int case_id) const {

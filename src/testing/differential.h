@@ -42,6 +42,11 @@ class SeededWorld {
   /// Sequential full-scan oracle answer for `q`.
   Result<query::QueryResult> Oracle(const query::Query& q) const;
 
+  /// `q` on the base table forced onto `path` (full scan, Compact, Bitmap
+  /// or the Aggregate rewrite).
+  Result<query::QueryResult> Execute(const query::Query& q,
+                                     query::AccessPath path) const;
+
   /// Case `case_id` of seed `seed`'s generated workload (paper templates
   /// mixed with randomized multidimensional ranges).
   query::Query GenerateQuery(uint64_t seed, int case_id) const;

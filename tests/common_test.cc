@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/encoding.h"
@@ -247,19 +252,59 @@ TEST(RandomTest, ZipfSkewsTowardsSmallValues) {
   EXPECT_GT(small, n / 4);
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 100);
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  constexpr size_t kN = 1000;
+  std::vector<std::atomic<int>> runs(kN);
+  ParallelFor(kN, 4, [&](size_t i) { runs[i].fetch_add(1); });
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
 }
 
-TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not hang
+TEST(ParallelForTest, EmptyRangeReturns) {
+  bool ran = false;
+  ParallelFor(0, 4, [&](size_t) { ran = true; });
+  EXPECT_FALSE(ran);
+}
+
+TEST(ParallelForTest, OneThreadRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  ParallelFor(50, 1, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 50u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelForTest, NestedLoopsFinishWhileEveryPoolThreadIsBlocked) {
+  // The outer loop holds the caller and every pool thread: each outer task
+  // waits until all have arrived, runs an inner loop whose helpers no pool
+  // thread is free to start, and waits again until every inner loop is done.
+  // The rendezvous time out, so a loop that waits for an unstarted helper
+  // fails the test instead of hanging it.
+  const size_t outer = static_cast<size_t>(ProcessPool().num_threads()) + 1;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t arrived = 0;
+  size_t finished = 0;
+  std::atomic<bool> timed_out{false};
+  const auto rendezvous = [&](size_t* count) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++*count;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return *count == outer; })) {
+      timed_out = true;
+    }
+  };
+  std::atomic<int> inner_runs{0};
+  ParallelFor(outer, static_cast<int>(outer), [&](size_t) {
+    rendezvous(&arrived);
+    ParallelFor(16, 16, [&](size_t) { inner_runs.fetch_add(1); });
+    rendezvous(&finished);
+  });
+  EXPECT_FALSE(timed_out.load());
+  EXPECT_EQ(inner_runs.load(), static_cast<int>(16 * outer));
 }
 
 }  // namespace

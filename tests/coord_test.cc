@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
@@ -30,6 +31,7 @@
 #include "coord/coordinator.h"
 #include "coord/shard_map.h"
 #include "fs/mini_dfs.h"
+#include "obs/trace.h"
 #include "query/parser.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -169,7 +171,8 @@ struct ClusterFixture {
 };
 
 Result<ClusterFixture> StartCluster(uint64_t seed, int num_shards,
-                                    double shard_response_timeout = 30.0) {
+                                    double shard_response_timeout = 30.0,
+                                    int max_concurrent = 4) {
   ClusterFixture fixture;
   DGF_ASSIGN_OR_RETURN(auto world, SeededWorld::Build(seed));
   fixture.world = std::make_unique<SeededWorld>(std::move(world));
@@ -178,6 +181,7 @@ Result<ClusterFixture> StartCluster(uint64_t seed, int num_shards,
   options.dims = fixture.world->dims();
   options.num_shards = num_shards;
   options.shard_response_timeout_seconds = shard_response_timeout;
+  options.max_concurrent = max_concurrent;
   DGF_ASSIGN_OR_RETURN(fixture.cluster, ShardedCluster::Start(options));
   return fixture;
 }
@@ -262,6 +266,69 @@ TEST(CoordinatorTest, CrossShardMergeMatchesOracleIncludingAvg) {
     ASSERT_TRUE(sharded.ok()) << sql << ": " << sharded.status().ToString();
     EXPECT_EQ(DescribeResultMismatch(*oracle, *sharded), "") << sql;
   }
+}
+
+TEST(CoordinatorTest, SequentialCrossShardQueriesPayNoPerFrameStall) {
+  // Every frame on the client and shard connections used to stall on a
+  // delayed ACK (about 100 ms per query here).
+  auto fixture = StartCluster(/*seed=*/6, /*num_shards=*/2);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  auto client = fixture->cluster->Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::string sql = "SELECT sum(powerConsumed), count(*) FROM meterdata";
+  Stopwatch watch;
+  for (int i = 0; i < 50; ++i) {
+    auto response = (*client)->Query(sql);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok())
+        << server::ResponseStatus(*response).ToString();
+  }
+  EXPECT_LT(watch.ElapsedSeconds(), 2.0);
+  auto stats = fixture->cluster->coordinator()->StatsSnapshot();
+  EXPECT_GE(StatValue(stats, "coord.subqueries"), 100);
+}
+
+TEST(CoordinatorTest, ServedLatencyIncludesAdmissionWait) {
+  auto fixture = StartCluster(/*seed=*/6, /*num_shards=*/2,
+                              /*shard_response_timeout=*/30.0,
+                              /*max_concurrent=*/1);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  auto gate = std::make_shared<GateInjector>();
+  fixture->cluster->shard_dfs(0)->SetReadFaultInjector(gate);
+  fixture->cluster->shard_dfs(1)->SetReadFaultInjector(gate);
+  auto first = fixture->cluster->Connect();
+  auto second = fixture->cluster->Connect();
+  ASSERT_TRUE(first.ok() && second.ok());
+
+  // The second query waits for admission behind the held first one.
+  auto held = (*first)->StartQuery(FullProjectionSql());
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  gate->WaitForBlocked(1);
+  auto queued = (*second)->StartQuery(FullProjectionSql());
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  Coordinator* coordinator = fixture->cluster->coordinator();
+  while (StatValue(coordinator->StatsSnapshot(), "queries.in_flight") < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate->Open();
+
+  double waited_and_ran = 0;
+  for (auto& [client, id] : {std::pair(first->get(), *held),
+                             std::pair(second->get(), *queued)}) {
+    auto response = client->Await(id);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok())
+        << server::ResponseStatus(*response).ToString();
+    waited_and_ran += response->result.stats.wall_seconds;
+    for (const obs::SpanTiming& span : response->result.stats.spans) {
+      if (span.name == "admission_wait") waited_and_ran += span.duration_seconds;
+    }
+  }
+  const auto stats = coordinator->StatsSnapshot();
+  EXPECT_EQ(StatValue(stats, "latency.count"), 2);
+  EXPECT_GE(StatValue(stats, "latency.sum"), waited_and_ran);
+  fixture->cluster->shard_dfs(0)->SetReadFaultInjector(nullptr);
+  fixture->cluster->shard_dfs(1)->SetReadFaultInjector(nullptr);
 }
 
 // ---------------------------------------------------------------------------

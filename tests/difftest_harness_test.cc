@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+
+#include "fs/mini_dfs.h"
 #include "testing/differential.h"
 #include "testing/lsm_crash_sweep.h"
 #include "testing/parser_fuzz.h"
@@ -56,6 +63,51 @@ TEST(DifftestHarnessTest, FaultSweepNeverReturnsWrongData) {
   EXPECT_GT(report.faults_injected, 0u);
   for (const auto& divergence : report.divergences) {
     ADD_FAILURE() << divergence.ToString();
+  }
+}
+
+/// Records which threads make the DFS reads.
+class ReadThreadRecorder : public fs::ReadFaultInjector {
+ public:
+  fs::ReadFault NextFault(const std::string&, uint64_t, uint64_t) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    ++reads_;
+    return fs::ReadFault{};
+  }
+
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+  int reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::set<std::thread::id> threads_;
+  int reads_ = 0;
+};
+
+TEST(DifftestHarnessTest, OneThreadWorldReadsIndexesOnTheCallingThread) {
+  // The fault sweep's schedule is indexed by read ordinal, so it replays only
+  // if a one-thread world reads in one order: every read of a Compact or
+  // Bitmap lookup, index scan and data scan alike, is the caller's.
+  ASSERT_OK_AND_ASSIGN(SeededWorld world,
+                       SeededWorld::Build(/*seed=*/11, /*worker_threads=*/1));
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+  for (query::AccessPath path :
+       {query::AccessPath::kCompactIndex, query::AccessPath::kBitmapIndex}) {
+    auto recorder = std::make_shared<ReadThreadRecorder>();
+    world.dfs()->SetReadFaultInjector(recorder);
+    for (int case_id = 0; case_id < 10; ++case_id) {
+      ASSERT_OK(world.Execute(world.GenerateQuery(11, case_id), path).status());
+    }
+    world.dfs()->SetReadFaultInjector(nullptr);
+    EXPECT_GT(recorder->reads(), 0) << query::AccessPathName(path);
+    EXPECT_EQ(recorder->threads(), caller) << query::AccessPathName(path);
   }
 }
 

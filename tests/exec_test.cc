@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <mutex>
+#include <set>
 #include <string>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "exec/cluster.h"
 #include "exec/mapreduce.h"
 #include "table/schema.h"
@@ -148,6 +152,40 @@ TEST(JobRunnerTest, ReducersRequestedWithoutFactoryFails) {
   auto result =
       runner.Run({}, [] { return std::make_unique<FailingMapper>(); });
   EXPECT_TRUE(result.status().IsInvalidArgument());
+}
+
+// Records the kernel id of every thread that runs a map task.
+class ThreadIdMapper : public Mapper {
+ public:
+  ThreadIdMapper(std::mutex* mu, std::set<pid_t>* tids)
+      : mu_(mu), tids_(tids) {}
+
+  Status Map(const fs::FileSplit&, MapContext*) override {
+    std::lock_guard<std::mutex> lock(*mu_);
+    tids_->insert(::gettid());
+    return Status::OK();
+  }
+
+ private:
+  std::mutex* mu_;
+  std::set<pid_t>* tids_;
+};
+
+TEST(JobRunnerTest, JobsRunOnTheProcessPoolWithoutSpawningThreads) {
+  // A pool per job gave every job fresh threads (39 ids over these 20 jobs).
+  std::mutex mu;
+  std::set<pid_t> tids;
+  const std::vector<fs::FileSplit> splits(4, fs::FileSplit{"/noop", 0, 1});
+  JobRunner::Options options;
+  options.worker_threads = 2;
+  JobRunner runner(options);
+  const MapperFactory factory = [&] {
+    return std::make_unique<ThreadIdMapper>(&mu, &tids);
+  };
+  for (int job = 0; job < 20; ++job) {
+    ASSERT_OK(runner.Run(splits, factory).status());
+  }
+  EXPECT_LE(tids.size(), static_cast<size_t>(ProcessPool().num_threads()) + 1);
 }
 
 TEST(CountersTest, AddAndMerge) {

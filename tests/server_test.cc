@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "dgf/aggregators.h"
 #include "fs/mini_dfs.h"
 #include "query/query.h"
@@ -341,6 +343,64 @@ TEST(ServerTest, QueriesMatchOracleAndStatsCount) {
   EXPECT_FALSE(bad->ok());
   auto after = (*client)->Ping();
   EXPECT_TRUE(after.ok() && after->ok());
+}
+
+TEST(ServerTest, SequentialPingsPayNoDelayedAckStall) {
+  // A frame whose header and body left in two sends waited out Nagle plus
+  // a delayed ACK on every round trip: these 200 PINGs took 17.5 s.
+  auto harness = StartHarness(/*seed=*/5);
+  ASSERT_TRUE(harness.ok()) << harness.status().ToString();
+  auto client = (*harness)->Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Stopwatch watch;
+  for (int i = 0; i < 200; ++i) {
+    auto ping = (*client)->Ping();
+    ASSERT_TRUE(ping.ok() && ping->ok()) << i;
+  }
+  EXPECT_LT(watch.ElapsedSeconds(), 1.0);
+}
+
+TEST(ServerTest, ServedLatencyIncludesAdmissionWait) {
+  auto harness = StartHarness(/*seed=*/4, /*max_concurrent=*/1);
+  ASSERT_TRUE(harness.ok()) << harness.status().ToString();
+  auto gate = std::make_shared<GateInjector>();
+  (*harness)->world->dfs()->SetReadFaultInjector(gate);
+  auto first = (*harness)->Connect();
+  auto second = (*harness)->Connect();
+  auto observer = (*harness)->Connect();
+  ASSERT_TRUE(first.ok() && second.ok() && observer.ok());
+  const std::string sql = FullProjectionSql((*harness)->world->meter().name);
+
+  // The second query waits for admission behind the held first one.
+  auto held = (*first)->StartQuery(sql);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  gate->WaitForBlocked(1);
+  auto queued = (*second)->StartQuery(sql);
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  for (;;) {
+    auto stats = (*observer)->Stats();
+    ASSERT_TRUE(stats.ok() && stats->ok());
+    if (StatValue(*stats, "queries.in_flight") == 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate->Open();
+
+  double span_seconds = 0;
+  for (auto& [client, id] : {std::pair(first->get(), *held),
+                             std::pair(second->get(), *queued)}) {
+    auto response = client->Await(id);
+    ASSERT_TRUE(response.ok() && response->ok());
+    for (const obs::SpanTiming& span : response->result.stats.spans) {
+      if (span.name == "admission_wait" || span.name == "execute") {
+        span_seconds += span.duration_seconds;
+      }
+    }
+  }
+  auto stats = (*observer)->Stats();
+  ASSERT_TRUE(stats.ok() && stats->ok());
+  EXPECT_EQ(StatValue(*stats, "latency.count"), 2);
+  EXPECT_GE(StatValue(*stats, "latency.sum"), span_seconds);
+  (*harness)->world->dfs()->SetReadFaultInjector(nullptr);
 }
 
 TEST(ServerTest, ClosedConnectionsReleaseTheirThreads) {
